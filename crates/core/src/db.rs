@@ -627,11 +627,8 @@ impl Database {
         }
         let report = esdb_wal::recovery::recover(&records, &tables)
             .expect("recovery I/O on the surviving page store");
-        // The new log continues the old LSN stream far past every page LSN
-        // recovery may have stamped (undo LSNs run up to durable + ~1M).
-        let resume_lsn = self.wal().durable_lsn() + (1 << 24);
         let wal = Arc::new(Wal::new_at(
-            resume_lsn,
+            esdb_wal::resume_lsn(self.wal().durable_lsn()),
             self.config.log.into(),
             self.config.flush_latency,
         ));

@@ -237,8 +237,14 @@ impl Client {
     fn send(&mut self, req: &Request) -> Result<(), NetError> {
         let mut buf = Vec::new();
         encode_request(req, &mut buf);
-        self.stream.write_all(&buf).map_err(|e| self.stall_error(e))?;
-        Ok(())
+        self.write(&buf)
+    }
+
+    /// Writes encoded frames. Every socket write goes through here, so an
+    /// armed op timeout turns a peer that stops reading into the typed
+    /// timeout.
+    fn write(&mut self, buf: &[u8]) -> Result<(), NetError> {
+        self.stream.write_all(buf).map_err(|e| self.stall_error(e))
     }
 
     /// Maps a socket stall into the typed timeout when an op timeout is
@@ -256,13 +262,25 @@ impl Client {
         }
     }
 
-    /// Reads the next response frame (blocking).
+    /// Reads the next response frame (blocking). The refusals every verb
+    /// can receive become their typed [`NetError`] here, so callers match
+    /// only their success variant.
     fn recv(&mut self) -> Result<Response, NetError> {
         let mut chunk = [0u8; 64 * 1024];
         loop {
             if let Some((resp, used)) = decode_response(&self.inbox)? {
                 self.inbox.drain(..used);
-                return Ok(resp);
+                return match resp {
+                    Response::Error(msg) => Err(NetError::Server(msg)),
+                    Response::Fenced { term } => Err(NetError::Fenced { term }),
+                    Response::WrongShard { epoch, hint } => {
+                        Err(NetError::WrongShard { epoch, hint })
+                    }
+                    Response::QuorumTimeout { lsn, acked, needed } => {
+                        Err(NetError::QuorumTimeout { lsn, acked, needed })
+                    }
+                    resp => Ok(resp),
+                };
             }
             let n = self.stream.read(&mut chunk).map_err(|e| self.stall_error(e))?;
             if n == 0 {
@@ -280,7 +298,6 @@ impl Client {
         self.send(&Request::Ping)?;
         match self.recv()? {
             Response::Pong => Ok(()),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("pong")),
         }
     }
@@ -290,7 +307,6 @@ impl Client {
         self.send(&Request::Stats)?;
         match self.recv()? {
             Response::Stats(s) => Ok(s),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("stats")),
         }
     }
@@ -301,7 +317,6 @@ impl Client {
         self.send(&Request::ObsStats)?;
         match self.recv()? {
             Response::ObsStats(snap) => Ok(*snap),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("obs stats")),
         }
     }
@@ -311,7 +326,7 @@ impl Client {
     pub fn one_shot(&mut self, spec: &TxnSpec) -> Result<SpecOutcome, NetError> {
         let mut buf = Vec::new();
         encode_spec(spec, &mut buf);
-        self.stream.write_all(&buf)?;
+        self.write(&buf)?;
         self.read_outcome()
     }
 
@@ -323,7 +338,7 @@ impl Client {
         for spec in specs {
             encode_spec(spec, &mut buf);
         }
-        self.stream.write_all(&buf)?;
+        self.write(&buf)?;
         let mut outcomes = Vec::with_capacity(specs.len());
         for _ in specs {
             outcomes.push(self.read_outcome()?);
@@ -334,12 +349,6 @@ impl Client {
     fn read_outcome(&mut self) -> Result<SpecOutcome, NetError> {
         match self.recv()? {
             Response::Outcome(outcome) => Ok(outcome),
-            Response::QuorumTimeout { lsn, acked, needed } => {
-                Err(NetError::QuorumTimeout { lsn, acked, needed })
-            }
-            Response::Fenced { term } => Err(NetError::Fenced { term }),
-            Response::WrongShard { epoch, hint } => Err(NetError::WrongShard { epoch, hint }),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("outcome")),
         }
     }
@@ -347,11 +356,6 @@ impl Client {
     fn expect_ok(&mut self) -> Result<(), NetError> {
         match self.recv()? {
             Response::Ok => Ok(()),
-            Response::QuorumTimeout { lsn, acked, needed } => {
-                Err(NetError::QuorumTimeout { lsn, acked, needed })
-            }
-            Response::Fenced { term } => Err(NetError::Fenced { term }),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("ok")),
         }
     }
@@ -367,7 +371,6 @@ impl Client {
         self.send(&Request::Read { table, key })?;
         match self.recv()? {
             Response::Row(row) => Ok(row),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("row")),
         }
     }
@@ -428,7 +431,6 @@ impl Client {
             Response::SnapBegin { start_lsn, catalog, indexes } => {
                 (start_lsn, catalog, indexes)
             }
-            Response::Error(msg) => return Err(NetError::Server(msg)),
             _ => return Err(NetError::Unexpected("snap begin")),
         };
         let mut pages = Vec::new();
@@ -441,7 +443,6 @@ impl Client {
                     }
                     return Ok(Snapshot { start_lsn, catalog, indexes, pages });
                 }
-                Response::Error(msg) => return Err(NetError::Server(msg)),
                 _ => return Err(NetError::Unexpected("snap page")),
             }
         }
@@ -471,8 +472,6 @@ impl Client {
     pub fn next_chunk(&mut self) -> Result<(u64, u64, Vec<u8>), NetError> {
         match self.recv()? {
             Response::LogChunk { term, start, bytes } => Ok((term, start, bytes)),
-            Response::Fenced { term } => Err(NetError::Fenced { term }),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("log chunk")),
         }
     }
@@ -501,7 +500,6 @@ impl Client {
         self.send(&Request::CommitToken)?;
         match self.recv()? {
             Response::Token { lsn } => Ok(lsn),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("token")),
         }
     }
@@ -519,7 +517,6 @@ impl Client {
         match self.recv()? {
             Response::Row(row) => Ok(Ok(row)),
             Response::Lagging { applied } => Ok(Err(applied)),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("row or lagging")),
         }
     }
@@ -540,7 +537,6 @@ impl Client {
         match self.recv()? {
             Response::Rows(rows) => Ok(Ok(rows)),
             Response::Lagging { applied } => Ok(Err(applied)),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("rows or lagging")),
         }
     }
@@ -556,8 +552,6 @@ impl Client {
         self.send(&Request::ShardPrepare { gtid, ops })?;
         match self.recv()? {
             Response::ShardVote { gtid: g, outcome } if g == gtid => Ok(outcome),
-            Response::WrongShard { epoch, hint } => Err(NetError::WrongShard { epoch, hint }),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("shard vote")),
         }
     }
@@ -576,7 +570,6 @@ impl Client {
         self.send(&Request::ShardStatus { gtid })?;
         match self.recv()? {
             Response::ShardDecision { gtid: g, commit } if g == gtid => Ok(commit),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("shard decision")),
         }
     }
@@ -586,7 +579,6 @@ impl Client {
         self.send(&Request::ShardInDoubt)?;
         match self.recv()? {
             Response::ShardGtids(gtids) => Ok(gtids),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("shard gtids")),
         }
     }
@@ -597,7 +589,6 @@ impl Client {
         self.send(&Request::RoutingSnapshot)?;
         match self.recv()? {
             Response::Routing { epoch, slots } => Ok((epoch, slots)),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("routing")),
         }
     }
@@ -613,7 +604,6 @@ impl Client {
         self.send(&Request::MigFetch { table, slot, slot_count })?;
         match self.recv()? {
             Response::MigRows { rows } => Ok(rows),
-            Response::Error(msg) => Err(NetError::Server(msg)),
             _ => Err(NetError::Unexpected("migration rows")),
         }
     }

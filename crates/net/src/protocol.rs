@@ -5,16 +5,28 @@
 //! little-endian throughout; rows are a `u16` column count followed by that
 //! many `i64`s.
 //!
+//! **Each frame is declared once.** A `wire_enum!` declaration names every
+//! variant's tag byte and lists its fields in wire order; the macro derives
+//! the enum, its encoder and its decoder from that one list, so the two
+//! directions cannot drift apart. Each field type knows its own byte form
+//! through the `Wire` trait. Length prefixes differ by field, so a list
+//! field states its prefix width right in the declaration (`ops:
+//! Vec<WorkloadOp> as u16`, `slots: Vec<u32> as u32`); the same `as`
+//! narrows a `usize` on the wire. The only lists whose width is not written
+//! at the field are the ones with a single form everywhere, stated in their
+//! `Wire` impl: rows (`Vec<i64>`, u16), page and gtid lists (`Vec<u64>`,
+//! u32), byte blobs (`Vec<u8>`, u32) and strings (u16).
+//!
 //! Decoding distinguishes **incomplete** input (the frame's bytes have not
 //! all arrived — try again after reading more) from **malformed** input (the
 //! bytes can never become a valid frame — the connection is beyond repair).
 //! A malformed frame is an error value, never a panic: a hostile or buggy
 //! client must not be able to take down the server.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use esdb_core::spec_exec::SpecOutcome;
 use esdb_core::{ObsSnapshot, StatsSnapshot, OBS_SNAPSHOT_VERSION};
-use esdb_obs::{HistogramSnapshot, WaitProfile, BUCKETS};
+use esdb_obs::{HistogramSnapshot, WaitProfile};
 use esdb_staged::{AggFunc, CmpOp};
 use esdb_workload::{TxnSpec, WorkloadOp};
 
@@ -59,225 +71,622 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Client → server messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Liveness probe.
-    Ping,
-    /// Engine + server counters.
-    Stats,
-    /// Full observability snapshot: counters plus the cycle-accounting
-    /// breakdown and per-component latency histograms.
-    ObsStats,
-    /// One-shot transaction: the whole op list in one frame. The server
-    /// executes, commits (deferred, riding the session batch's single WAL
-    /// flush) and replies with an [`Response::Outcome`].
-    OneShot {
-        /// Whether a logical failure is an expected outcome.
-        may_fail: bool,
-        /// The operations, in order.
-        ops: Vec<WorkloadOp>,
-    },
-    /// Opens an interactive transaction on this session.
-    Begin,
-    /// Reads a row inside the session's open transaction.
-    Read {
-        /// Table id.
-        table: u32,
-        /// Key.
-        key: u64,
-    },
-    /// Overwrites a row inside the open transaction.
-    Update {
-        /// Table id.
-        table: u32,
-        /// Key.
-        key: u64,
-        /// New row.
-        row: Vec<i64>,
-    },
-    /// Inserts a row inside the open transaction.
-    Insert {
-        /// Table id.
-        table: u32,
-        /// Key.
-        key: u64,
-        /// Row.
-        row: Vec<i64>,
-    },
-    /// Commits the open transaction (acknowledged only once durable).
-    Commit,
-    /// Aborts the open transaction.
-    Abort,
-    /// Replica bootstrap: take a checkpoint and stream the page snapshot.
-    /// The server answers with one [`Response::SnapBegin`], a
-    /// [`Response::SnapPage`] per page, and a closing [`Response::SnapEnd`].
-    ReplSnapshot,
-    /// Turns this session into a log-shipping feed: the server pushes
-    /// [`Response::LogChunk`] frames covering the durable log from `from`
-    /// onward until the connection closes. The only request the feed still
-    /// reads afterwards is [`Request::ReplAck`]. `term` is the highest
-    /// replication term the subscriber has observed: a primary contacted by
-    /// a subscriber from a *higher* term knows it has been superseded and
-    /// answers [`Response::Fenced`] instead of shipping.
-    ReplSubscribe {
-        /// First LSN the subscriber still needs.
-        from: u64,
-        /// Highest term the subscriber has observed (0 = none).
-        term: u64,
-    },
-    /// Follower → primary on a subscribe feed: "my durable replication
-    /// cursor now extends to `lsn`". Carries the follower's term so a
-    /// deposed primary learns about its successor even from an ack. This is
-    /// the input to semi-sync quorum commit: the primary's group-commit wait
-    /// can additionally block until K followers have acked past the commit
-    /// LSN.
-    ReplAck {
-        /// Highest term the follower has observed.
-        term: u64,
-        /// The follower's durable cursor end.
-        lsn: u64,
-    },
-    /// Read-your-writes token: the primary's durable LSN right now. A client
-    /// that just committed here can hand the token to a replica read.
-    CommitToken,
-    /// Follower read gated on a token: answered with [`Response::Row`] only
-    /// once the replica has applied up to `min_lsn`, with
-    /// [`Response::Lagging`] if it cannot within its wait budget.
-    ReadAt {
-        /// Table id.
-        table: u32,
-        /// Key.
-        key: u64,
-        /// The read-your-writes token (0 = no freshness requirement).
-        min_lsn: u64,
-    },
-    /// Two-phase-commit phase one: execute this shard's slice of a
-    /// cross-shard transaction and *prepare* it (durable `Prepare` record,
-    /// locks held) instead of committing. Answered with a
-    /// [`Response::ShardVote`].
-    ShardPrepare {
-        /// Global transaction id (coordinator-allocated, single-use).
-        gtid: u64,
-        /// This shard's slice of the transaction's operations, in order.
-        ops: Vec<WorkloadOp>,
-    },
-    /// Two-phase-commit phase two: deliver the coordinator's decision for
-    /// `gtid` to this participant. Idempotent; answered with
-    /// [`Response::Ok`] whether or not the gtid was still registered.
-    ShardDecide {
-        /// Global transaction id.
-        gtid: u64,
-        /// `true` = commit, `false` = abort.
-        commit: bool,
-    },
-    /// Recovering participant → coordinator front-end: what was decided for
-    /// `gtid`? Answered with a [`Response::ShardDecision`] (presumed abort
-    /// when no durable decision exists) or [`Response::Error`] if this
-    /// server has no coordinator decision source configured.
-    ShardStatus {
-        /// Global transaction id being resolved.
-        gtid: u64,
-    },
-    /// Recovering coordinator → participant: which gtids are prepared here
-    /// and still awaiting a decision? Answered with [`Response::ShardGtids`].
-    ShardInDoubt,
-    /// Follower OLAP query gated on a token: execute `plan` at a
-    /// commit-consistent snapshot no older than `min_lsn`, answered with
-    /// [`Response::Rows`] (or [`Response::Lagging`] if the replica cannot
-    /// catch up within its wait budget). Only servers with an apply frontier
-    /// configured (followers) serve queries; a primary answers a typed
-    /// [`Response::Error`].
-    Query {
-        /// The read-your-writes token (0 = no freshness requirement).
-        min_lsn: u64,
-        /// The plan to execute.
-        plan: WirePlan,
-    },
-    /// Routing-table observation: "what slot → shard map are you serving
-    /// under, and at which epoch?". Answered with [`Response::Routing`].
-    /// Cheap by design — routers poll it to refresh after a
-    /// [`Response::WrongShard`], and tests poll it to observe cutover.
-    RoutingSnapshot,
-    /// Migration bulk fetch: stream every committed row of `table` whose
-    /// `(table, key)` hashes to `slot` under a `slot_count`-slot ring.
-    /// Answered with [`Response::MigRows`]. This is the fuzzy-copy read the
-    /// rebalance coordinator drives against a source shard.
-    MigFetch {
-        /// Table id.
-        table: u32,
-        /// Hash slot whose rows are wanted.
-        slot: u32,
-        /// Ring size the requester's routing table uses (so both sides
-        /// agree on the hash domain even across ring-size reconfigurations).
-        slot_count: u32,
-    },
+/// Checked cursor over a payload: every read verifies length first, so
+/// truncated or lying frames surface as [`FrameError::Malformed`], never as
+/// a panic.
+struct Reader<'a> {
+    buf: &'a [u8],
+    /// Boxed [`WirePlan`] inputs entered so far (see [`MAX_PLAN_DEPTH`]).
+    depth: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
+        if self.buf.len() < n {
+            return Err(FrameError::Malformed("truncated field"));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn finish(self) -> Result<(), FrameError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(FrameError::Malformed("trailing bytes"))
+        }
+    }
+}
+
+/// A value with one byte form on the wire.
+trait Wire: Sized {
+    /// Appends the value's bytes to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads one value from the front of `r`.
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError>;
+}
+
+/// A field whose declaration states an integer width `W` (`field: T as W`):
+/// a list carries its element count as a `W`, a `usize` travels as a `W`.
+trait WireAs<W>: Sized {
+    fn put_as(&self, out: &mut Vec<u8>);
+    fn get_as(r: &mut Reader<'_>) -> Result<Self, FrameError>;
+}
+
+/// An integer type usable as a list's length prefix.
+trait Width: Wire {
+    fn of(len: usize) -> Self;
+    fn to_len(self) -> usize;
+}
+
+macro_rules! wire_int {
+    ($($T:ty),*) => {$(
+        impl Wire for $T {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.put_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                let bytes = r.take(std::mem::size_of::<$T>())?;
+                Ok(<$T>::from_le_bytes(bytes.try_into().expect("took the exact width")))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u16, u32, u64, i64);
+
+macro_rules! width {
+    ($($W:ty),*) => {$(
+        impl Width for $W {
+            fn of(len: usize) -> Self {
+                debug_assert!(len <= <$W>::MAX as usize);
+                len as $W
+            }
+            fn to_len(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+width!(u16, u32);
+
+impl<T: Wire, W: Width> WireAs<W> for Vec<T> {
+    fn put_as(&self, out: &mut Vec<u8>) {
+        W::of(self.len()).put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get_as(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let n = W::get(r)?.to_len();
+        // Every element must actually be present (checked per read); the
+        // cap keeps a hostile count from pre-allocating gigabytes.
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl WireAs<u16> for usize {
+    fn put_as(&self, out: &mut Vec<u8>) {
+        (*self as u16).put(out);
+    }
+    fn get_as(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(u16::get(r)? as usize)
+    }
+}
+
+/// Strict: any byte but 0 or 1 is malformed.
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(FrameError::Malformed("bad bool")),
+        }
+    }
+}
+
+/// A 0/1 tag byte, then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                1u8.put(out);
+                v.put(out);
+            }
+            None => 0u8.put(out),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            _ => Err(FrameError::Malformed("bad option tag")),
+        }
+    }
+}
+
+/// A row: u16 column count, then the columns.
+impl Wire for Vec<i64> {
+    fn put(&self, out: &mut Vec<u8>) {
+        WireAs::<u16>::put_as(self, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        WireAs::<u16>::get_as(r)
+    }
+}
+
+/// A page-id or gtid list: u32 count, then the ids.
+impl Wire for Vec<u64> {
+    fn put(&self, out: &mut Vec<u8>) {
+        WireAs::<u32>::put_as(self, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        WireAs::<u32>::get_as(r)
+    }
+}
+
+/// A byte blob: u32 length, then the bytes (pages and log spans overflow a
+/// u16 prefix).
+impl Wire for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        u32::of(self.len()).put(out);
+        out.put_slice(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let len = u32::get(r)?.to_len();
+        Ok(r.take(len)?.to_vec())
+    }
+}
+
+/// UTF-8 with a u16 byte length; longer strings are cut at the limit.
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        let bytes = &self.as_bytes()[..self.len().min(u16::MAX as usize)];
+        u16::of(bytes.len()).put(out);
+        out.put_slice(bytes);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let len = u16::get(r)?.to_len();
+        String::from_utf8(r.take(len)?.to_vec())
+            .map_err(|_| FrameError::Malformed("non-utf8 string"))
+    }
+}
+
+impl<T: Wire + Default + Copy, const N: usize> Wire for [T; N] {
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let mut a = [T::default(); N];
+        for v in &mut a {
+            *v = T::get(r)?;
+        }
+        Ok(a)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($T:ident),+) => {
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            #[allow(non_snake_case)]
+            fn put(&self, out: &mut Vec<u8>) {
+                let ($($T,)+) = self;
+                $($T.put(out);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Ok(($($T::get(r)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A, B);
+wire_tuple!(A, B, C, D);
+wire_tuple!(A, B, C, D, E);
+
+/// Structs whose wire form is their fields in the order listed.
+macro_rules! wire_struct {
+    ($($T:ident { $($f:ident),* })*) => {$(
+        impl Wire for $T {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Ok($T { $($f: Wire::get(r)?),* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    StatsSnapshot { commits, aborts, durable_lsn, current_lsn, wal_flushes }
+    WaitProfile { useful, lock_wait, latch_spin, log_wait, io_retry, commit_flush }
+    HistogramSnapshot { count, sum, buckets }
+    ServerStats {
+        engine, sessions_accepted, sessions_shed, sessions_active, txns_executed, txns_committed,
+        batches
+    }
+}
+
+/// Version first: a snapshot from a build speaking another format decodes
+/// to a typed error, never a guess at its layout (and never a panic).
+impl Wire for ObsSnapshot {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.version.put(out);
+        self.stats.put(out);
+        self.breakdown.put(out);
+        for h in [&self.lock_wait, &self.wal_flush, &self.pool_miss, &self.txn_latency] {
+            h.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let version = u32::get(r)?;
+        if version != OBS_SNAPSHOT_VERSION {
+            return Err(FrameError::UnsupportedVersion(version));
+        }
+        Ok(ObsSnapshot {
+            version,
+            stats: Wire::get(r)?,
+            breakdown: Wire::get(r)?,
+            lock_wait: Wire::get(r)?,
+            wal_flush: Wire::get(r)?,
+            pool_miss: Wire::get(r)?,
+            txn_latency: Wire::get(r)?,
+        })
+    }
+}
+
+impl Wire for Box<ObsSnapshot> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        ObsSnapshot::get(r).map(Box::new)
+    }
+}
+
+/// Plan inputs are the one recursive field: each level of nesting counts
+/// against [`MAX_PLAN_DEPTH`] before its tag is read.
+impl Wire for Box<WirePlan> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        r.depth += 1;
+        if r.depth >= MAX_PLAN_DEPTH {
+            return Err(FrameError::Malformed("plan nested too deeply"));
+        }
+        let plan = WirePlan::get(r)?;
+        r.depth -= 1;
+        Ok(Box::new(plan))
+    }
+}
+
+/// Declares a tagged enum's wire form once. Each variant is written as
+/// `TAG_CONST = byte => Variant` followed by its fields in wire order: none,
+/// one named tuple field `(name: Type)`, or struct fields `{ name: Type }`.
+/// A field may end in `as u16`/`as u32` to state its width (see
+/// [`WireAs`]). The macro emits one tag const per variant, a `mod $m` of
+/// per-variant encoders taking the fields by reference (so a caller holding
+/// borrowed fields, like [`encode_spec`], needs no owned enum), and the
+/// enum's [`Wire`] impl, whose decoder rejects unknown tags with `$unknown`.
+///
+/// `$vis enum Name in m, "..." { .. }` also defines the enum (keeping every
+/// attribute and doc comment); `impl Name in m, "..." { .. }` adds the codec
+/// to an enum defined elsewhere.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $Name:ident in $m:ident, $unknown:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:ident = $val:literal => $var:ident
+                $(($tb:ident: $tt:ty $(as $tw:ident)?))?
+                $({ $($(#[$fmeta:meta])* $f:ident: $ft:ty $(as $fw:ident)?),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $Name {
+            $(
+                $(#[$vmeta])*
+                $var $(($tt))? $({ $($(#[$fmeta])* $f: $ft),* })?,
+            )*
+        }
+        wire_enum!(@codec $Name in $m, $unknown {
+            $($tag = $val => $var [$($tb: $tt $(as $tw)?)?] {$($($f: $ft $(as $fw)?),*)?})*
+        });
+    };
+    (
+        impl $Name:ident in $m:ident, $unknown:literal {
+            $(
+                $tag:ident = $val:literal => $var:ident
+                $({ $($f:ident: $ft:ty $(as $fw:ident)?),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        wire_enum!(@codec $Name in $m, $unknown {
+            $($tag = $val => $var [] {$($($f: $ft $(as $fw)?),*)?})*
+        });
+    };
+    (@codec $Name:ident in $m:ident, $unknown:literal {
+        $(
+            $tag:ident = $val:literal => $var:ident
+            [$($tb:ident: $tt:ty $(as $tw:ident)?)?]
+            {$($f:ident: $ft:ty $(as $fw:ident)?),*}
+        )*
+    }) => {
+        $(const $tag: u8 = $val;)*
+
+        #[allow(non_snake_case, clippy::ptr_arg, clippy::borrowed_box)]
+        mod $m {
+            use super::*;
+            $(
+                pub(super) fn $var($($tb: &$tt,)? $($f: &$ft,)* out: &mut Vec<u8>) {
+                    $tag.put(out);
+                    $(wire_enum!(@put out, $tb $(as $tw)?);)?
+                    $(wire_enum!(@put out, $f $(as $fw)?);)*
+                }
+            )*
+        }
+
+        impl Wire for $Name {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($Name::$var { $(0: $tb)? $($f),* } => $m::$var($($tb,)? $($f,)* out),)*
+                }
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Ok(match u8::get(r)? {
+                    $($tag => $Name::$var {
+                        $(0: wire_enum!(@get r $(as $tw)?))?
+                        $($f: wire_enum!(@get r $(as $fw)?)),*
+                    },)*
+                    _ => return Err(FrameError::Malformed($unknown)),
+                })
+            }
+        }
+    };
+    (@put $out:ident, $v:ident) => { Wire::put($v, $out) };
+    (@put $out:ident, $v:ident as $w:ident) => { WireAs::<$w>::put_as($v, $out) };
+    (@get $r:ident) => { Wire::get($r)? };
+    (@get $r:ident as $w:ident) => { WireAs::<$w>::get_as($r)? };
+}
+
+// Payload tags. Requests and responses share one byte space so a tag is
+// self-describing in traces.
+
+wire_enum! {
+    /// Client → server messages.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request in request, "unknown request tag" {
+        /// Liveness probe.
+        T_PING = 0x01 => Ping,
+        /// Engine + server counters.
+        T_STATS = 0x02 => Stats,
+        /// Full observability snapshot: counters plus the cycle-accounting
+        /// breakdown and per-component latency histograms.
+        T_OBS_STATS = 0x04 => ObsStats,
+        /// One-shot transaction: the whole op list in one frame. The server
+        /// executes, commits (deferred, riding the session batch's single WAL
+        /// flush) and replies with an [`Response::Outcome`].
+        T_ONE_SHOT = 0x03 => OneShot {
+            /// Whether a logical failure is an expected outcome.
+            may_fail: bool,
+            /// The operations, in order.
+            ops: Vec<WorkloadOp> as u16,
+        },
+        /// Opens an interactive transaction on this session.
+        T_BEGIN = 0x10 => Begin,
+        /// Reads a row inside the session's open transaction.
+        T_READ = 0x11 => Read {
+            /// Table id.
+            table: u32,
+            /// Key.
+            key: u64,
+        },
+        /// Overwrites a row inside the open transaction.
+        T_UPDATE = 0x12 => Update {
+            /// Table id.
+            table: u32,
+            /// Key.
+            key: u64,
+            /// New row.
+            row: Vec<i64>,
+        },
+        /// Inserts a row inside the open transaction.
+        T_INSERT = 0x13 => Insert {
+            /// Table id.
+            table: u32,
+            /// Key.
+            key: u64,
+            /// Row.
+            row: Vec<i64>,
+        },
+        /// Commits the open transaction (acknowledged only once durable).
+        T_COMMIT = 0x14 => Commit,
+        /// Aborts the open transaction.
+        T_ABORT = 0x15 => Abort,
+        /// Replica bootstrap: take a checkpoint and stream the page snapshot.
+        /// The server answers with one [`Response::SnapBegin`], a
+        /// [`Response::SnapPage`] per page, and a closing [`Response::SnapEnd`].
+        T_REPL_SNAPSHOT = 0x20 => ReplSnapshot,
+        /// Turns this session into a log-shipping feed: the server pushes
+        /// [`Response::LogChunk`] frames covering the durable log from `from`
+        /// onward until the connection closes. The only request the feed still
+        /// reads afterwards is [`Request::ReplAck`]. `term` is the highest
+        /// replication term the subscriber has observed: a primary contacted by
+        /// a subscriber from a *higher* term knows it has been superseded and
+        /// answers [`Response::Fenced`] instead of shipping.
+        T_REPL_SUBSCRIBE = 0x21 => ReplSubscribe {
+            /// First LSN the subscriber still needs.
+            from: u64,
+            /// Highest term the subscriber has observed (0 = none).
+            term: u64,
+        },
+        /// Follower → primary on a subscribe feed: "my durable replication
+        /// cursor now extends to `lsn`". Carries the follower's term so a
+        /// deposed primary learns about its successor even from an ack. This is
+        /// the input to semi-sync quorum commit: the primary's group-commit wait
+        /// can additionally block until K followers have acked past the commit
+        /// LSN.
+        T_REPL_ACK = 0x24 => ReplAck {
+            /// Highest term the follower has observed.
+            term: u64,
+            /// The follower's durable cursor end.
+            lsn: u64,
+        },
+        /// Read-your-writes token: the primary's durable LSN right now. A client
+        /// that just committed here can hand the token to a replica read.
+        T_COMMIT_TOKEN = 0x22 => CommitToken,
+        /// Follower read gated on a token: answered with [`Response::Row`] only
+        /// once the replica has applied up to `min_lsn`, with
+        /// [`Response::Lagging`] if it cannot within its wait budget.
+        T_READ_AT = 0x23 => ReadAt {
+            /// Table id.
+            table: u32,
+            /// Key.
+            key: u64,
+            /// The read-your-writes token (0 = no freshness requirement).
+            min_lsn: u64,
+        },
+        /// Two-phase-commit phase one: execute this shard's slice of a
+        /// cross-shard transaction and *prepare* it (durable `Prepare` record,
+        /// locks held) instead of committing. Answered with a
+        /// [`Response::ShardVote`].
+        T_SHARD_PREPARE = 0x30 => ShardPrepare {
+            /// Global transaction id (coordinator-allocated, single-use).
+            gtid: u64,
+            /// This shard's slice of the transaction's operations, in order.
+            ops: Vec<WorkloadOp> as u16,
+        },
+        /// Two-phase-commit phase two: deliver the coordinator's decision for
+        /// `gtid` to this participant. Idempotent; answered with
+        /// [`Response::Ok`] whether or not the gtid was still registered.
+        T_SHARD_DECIDE = 0x31 => ShardDecide {
+            /// Global transaction id.
+            gtid: u64,
+            /// `true` = commit, `false` = abort.
+            commit: bool,
+        },
+        /// Recovering participant → coordinator front-end: what was decided for
+        /// `gtid`? Answered with a [`Response::ShardDecision`] (presumed abort
+        /// when no durable decision exists) or [`Response::Error`] if this
+        /// server has no coordinator decision source configured.
+        T_SHARD_STATUS = 0x32 => ShardStatus {
+            /// Global transaction id being resolved.
+            gtid: u64,
+        },
+        /// Recovering coordinator → participant: which gtids are prepared here
+        /// and still awaiting a decision? Answered with [`Response::ShardGtids`].
+        T_SHARD_IN_DOUBT = 0x33 => ShardInDoubt,
+        /// Follower OLAP query gated on a token: execute `plan` at a
+        /// commit-consistent snapshot no older than `min_lsn`, answered with
+        /// [`Response::Rows`] (or [`Response::Lagging`] if the replica cannot
+        /// catch up within its wait budget). Only servers with an apply frontier
+        /// configured (followers) serve queries; a primary answers a typed
+        /// [`Response::Error`].
+        T_QUERY = 0x25 => Query {
+            /// The read-your-writes token (0 = no freshness requirement).
+            min_lsn: u64,
+            /// The plan to execute.
+            plan: WirePlan,
+        },
+        /// Routing-table observation: "what slot → shard map are you serving
+        /// under, and at which epoch?". Answered with [`Response::Routing`].
+        /// Cheap by design — routers poll it to refresh after a
+        /// [`Response::WrongShard`], and tests poll it to observe cutover.
+        T_ROUTING_SNAPSHOT = 0x34 => RoutingSnapshot,
+        /// Migration bulk fetch: stream every committed row of `table` whose
+        /// `(table, key)` hashes to `slot` under a `slot_count`-slot ring.
+        /// Answered with [`Response::MigRows`]. This is the fuzzy-copy read the
+        /// rebalance coordinator drives against a source shard.
+        T_MIG_FETCH = 0x35 => MigFetch {
+            /// Table id.
+            table: u32,
+            /// Hash slot whose rows are wanted.
+            slot: u32,
+            /// Ring size the requester's routing table uses (so both sides
+            /// agree on the hash domain even across ring-size reconfigurations).
+            slot_count: u32,
+        },
+    }
 }
 
 /// Maximum [`WirePlan`] nesting depth a decoder accepts. Caps recursion so
 /// a hostile frame full of `Filter` tags cannot blow the reactor's stack.
 pub const MAX_PLAN_DEPTH: usize = 64;
 
-/// A serializable query plan: the wire face of `esdb_staged::PlanNode`,
-/// with tables and secondary indexes referenced by catalog id. The server
-/// resolves ids and validates column offsets against its own catalog and
-/// answers a typed [`Response::Error`] for anything unknown — a stale or
-/// hostile client can never make the execution engine panic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WirePlan {
-    /// Full scan; output rows are `[key, col0, col1, ...]`.
-    Scan {
-        /// Table id.
-        table: u32,
-    },
-    /// Index-assisted scan: rows whose indexed column lies in `[lo, hi]`
-    /// (inclusive), in primary-key order. Same output shape as `Scan`.
-    IndexScan {
-        /// Table id.
-        table: u32,
-        /// Secondary index id within the table.
-        index: u32,
-        /// Lower bound (inclusive).
-        lo: i64,
-        /// Upper bound (inclusive).
-        hi: i64,
-    },
-    /// Keep rows where `row[col] OP value`.
-    Filter {
-        /// Input plan.
-        input: Box<WirePlan>,
-        /// Column tested (plan-output offset: 0 is the key for scans).
-        col: u32,
-        /// Comparison.
-        op: CmpOp,
-        /// Constant operand.
-        value: i64,
-    },
-    /// Keep only the listed columns, in order.
-    Project {
-        /// Input plan.
-        input: Box<WirePlan>,
-        /// Column offsets to keep.
-        cols: Vec<u32>,
-    },
-    /// Group-by aggregate. Output: `[group, agg]` (or `[agg]` if no group).
-    Aggregate {
-        /// Input plan.
-        input: Box<WirePlan>,
-        /// Optional grouping column.
-        group_col: Option<u32>,
-        /// Aggregated column.
-        agg_col: u32,
-        /// Function.
-        func: AggFunc,
-    },
-    /// Sort ascending by column.
-    Sort {
-        /// Input plan.
-        input: Box<WirePlan>,
-        /// Sort column.
-        col: u32,
-    },
+wire_enum! {
+    /// A serializable query plan: the wire face of `esdb_staged::PlanNode`,
+    /// with tables and secondary indexes referenced by catalog id. The server
+    /// resolves ids and validates column offsets against its own catalog and
+    /// answers a typed [`Response::Error`] for anything unknown — a stale or
+    /// hostile client can never make the execution engine panic.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum WirePlan in plan, "unknown plan tag" {
+        /// Full scan; output rows are `[key, col0, col1, ...]`.
+        WP_SCAN = 0 => Scan {
+            /// Table id.
+            table: u32,
+        },
+        /// Index-assisted scan: rows whose indexed column lies in `[lo, hi]`
+        /// (inclusive), in primary-key order. Same output shape as `Scan`.
+        WP_INDEX_SCAN = 1 => IndexScan {
+            /// Table id.
+            table: u32,
+            /// Secondary index id within the table.
+            index: u32,
+            /// Lower bound (inclusive).
+            lo: i64,
+            /// Upper bound (inclusive).
+            hi: i64,
+        },
+        /// Keep rows where `row[col] OP value`.
+        WP_FILTER = 2 => Filter {
+            /// Input plan.
+            input: Box<WirePlan>,
+            /// Column tested (plan-output offset: 0 is the key for scans).
+            col: u32,
+            /// Comparison.
+            op: CmpOp,
+            /// Constant operand.
+            value: i64,
+        },
+        /// Keep only the listed columns, in order.
+        WP_PROJECT = 3 => Project {
+            /// Input plan.
+            input: Box<WirePlan>,
+            /// Column offsets to keep.
+            cols: Vec<u32> as u16,
+        },
+        /// Group-by aggregate. Output: `[group, agg]` (or `[agg]` if no group).
+        WP_AGGREGATE = 4 => Aggregate {
+            /// Input plan.
+            input: Box<WirePlan>,
+            /// Optional grouping column.
+            group_col: Option<u32>,
+            /// Aggregated column.
+            agg_col: u32,
+            /// Function.
+            func: AggFunc,
+        },
+        /// Sort ascending by column.
+        WP_SORT = 5 => Sort {
+            /// Input plan.
+            input: Box<WirePlan>,
+            /// Sort column.
+            col: u32,
+        },
+    }
 }
 
 /// Server-side counters the STATS command reports alongside the engine's
@@ -300,1097 +709,255 @@ pub struct ServerStats {
     pub batches: u64,
 }
 
-/// Server → client messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// Greeting: the session was admitted.
-    Hello,
-    /// Greeting: the server is at its session cap; retry later. The
-    /// connection closes after this frame — structured load shedding, not a
-    /// hang or an unbounded queue.
-    Busy,
-    /// Ping reply.
-    Pong,
-    /// STATS reply.
-    Stats(ServerStats),
-    /// OBS_STATS reply: the versioned snapshot (boxed — it carries four
-    /// histograms and would otherwise dominate every `Response`'s size).
-    ObsStats(Box<ObsSnapshot>),
-    /// One-shot transaction result.
-    Outcome(SpecOutcome),
-    /// A row, from an interactive [`Request::Read`].
-    Row(Vec<i64>),
-    /// Generic success (begin / update / insert / commit / abort).
-    Ok,
-    /// The request failed; the session stays usable.
-    Error(String),
-    /// Snapshot header: the checkpoint's start LSN (where the subscriber's
-    /// log apply must begin) and the table catalog.
-    SnapBegin {
-        /// First LSN the replica must apply after installing the pages.
-        start_lsn: u64,
-        /// Per table: id, name, arity, heap page ids in heap order.
-        catalog: Vec<(u32, String, u32, Vec<u64>)>,
-        /// Secondary index declarations, flattened: `(table_id, index_id,
-        /// name, column, kind)` with kind as in
-        /// `esdb_storage::IndexKind::as_u8`. Index *contents* never ride a
-        /// snapshot — they are derived state the replica rebuilds from the
-        /// installed heap and keeps current through redo.
-        indexes: Vec<(u32, u32, String, u32, u8)>,
-    },
-    /// One checkpointed page (raw [`esdb_storage`] page bytes).
-    SnapPage {
-        /// Page id on the primary (replicas install under the same id).
-        page_id: u64,
-        /// The page image.
-        bytes: Vec<u8>,
-    },
-    /// Snapshot trailer.
-    SnapEnd {
-        /// Pages streamed, for the replica's sanity check.
-        page_count: u64,
-    },
-    /// A shipped span of the durable log, raw record frames starting at
-    /// `start`. The receiver runs its own `decode_stream_checked` over the
-    /// accumulated stream — the WAL's CRC framing rides the wire unchanged.
-    /// Every chunk is stamped with the shipping primary's term: a receiver
-    /// that has adopted a higher term treats the chunk as coming from a
-    /// fenced, stale primary and drops the feed.
-    LogChunk {
-        /// The shipping primary's replication term.
-        term: u64,
-        /// Stream offset of `bytes[0]`.
-        start: u64,
-        /// Raw log bytes.
-        bytes: Vec<u8>,
-    },
-    /// A read-your-writes token ([`Request::CommitToken`] reply).
-    Token {
-        /// The primary's durable LSN at token time.
-        lsn: u64,
-    },
-    /// A [`Request::ReadAt`] the replica could not serve freshly enough.
-    Lagging {
-        /// How far the replica had applied when it gave up.
-        applied: u64,
-    },
-    /// A participant's vote on a [`Request::ShardPrepare`]: `Committed`
-    /// means *prepared* (yes-vote, reads attached); a failure outcome means
-    /// the participant aborted locally and votes no.
-    ShardVote {
-        /// Global transaction id, echoed for pipelining sanity.
-        gtid: u64,
-        /// The vote: committed = prepared; failure = aborted locally.
-        outcome: SpecOutcome,
-    },
-    /// The coordinator's (possibly presumed) decision for a
-    /// [`Request::ShardStatus`] query.
-    ShardDecision {
-        /// Global transaction id, echoed.
-        gtid: u64,
-        /// `true` = commit; `false` = abort (including presumed abort).
-        commit: bool,
-    },
-    /// Prepared-but-undecided gtids on this participant
-    /// ([`Request::ShardInDoubt`] reply).
-    ShardGtids(Vec<u64>),
-    /// This server has observed a higher replication term than the
-    /// requester's and refuses the operation (a deposed primary must not
-    /// ship, a stale subscriber must re-sync). Carries the higher term so
-    /// the receiver can adopt it.
-    Fenced {
-        /// The highest term this server has observed.
-        term: u64,
-    },
-    /// The transaction *is* durably committed on the primary, but the
-    /// semi-sync quorum wait timed out before K followers acked durability
-    /// at the commit LSN. A typed degradation, never a hang: the caller
-    /// knows the commit's replication guarantee is not yet met.
-    QuorumTimeout {
-        /// The commit LSN that was waiting for acks.
-        lsn: u64,
-        /// Followers that had acked `lsn` when the wait gave up.
-        acked: u32,
-        /// Acks the quorum policy required.
-        needed: u32,
-    },
-    /// Result rows of a [`Request::Query`]. The whole result is one frame,
-    /// so the server bounds result size and answers [`Response::Error`]
-    /// when a query would overflow it.
-    Rows(Vec<Vec<i64>>),
-    /// The server's current routing table ([`Request::RoutingSnapshot`]
-    /// reply): the fencing epoch and the full slot → shard map.
-    Routing {
-        /// Routing epoch this map was installed under.
-        epoch: u64,
-        /// `slots[s]` is the shard owning slot `s`.
-        slots: Vec<u32>,
-    },
-    /// One batch of migration rows ([`Request::MigFetch`] reply): the
-    /// committed `(key, row)` pairs of the requested slot.
-    MigRows {
-        /// The slot's rows, in scan order.
-        rows: Vec<(u64, Vec<i64>)>,
-    },
-    /// This server no longer (or does not yet) own the slot the request
-    /// touches — the rebalancing analog of [`Response::Fenced`]. Carries
-    /// the server's routing epoch and its best hint at the owning shard so
-    /// a stale router can refresh and retry instead of silently reading
-    /// from a shard that gave the data away.
-    WrongShard {
-        /// The server's current routing epoch (greater than the stale
-        /// requester's, or the requester would not have come here).
-        epoch: u64,
-        /// The shard this server believes owns the touched slot.
-        hint: u32,
-    },
-}
-
-// Payload tags. Requests and responses share one byte space so a tag is
-// self-describing in traces.
-const T_PING: u8 = 0x01;
-const T_STATS: u8 = 0x02;
-const T_ONE_SHOT: u8 = 0x03;
-const T_OBS_STATS: u8 = 0x04;
-const T_BEGIN: u8 = 0x10;
-const T_READ: u8 = 0x11;
-const T_UPDATE: u8 = 0x12;
-const T_INSERT: u8 = 0x13;
-const T_COMMIT: u8 = 0x14;
-const T_ABORT: u8 = 0x15;
-const T_REPL_SNAPSHOT: u8 = 0x20;
-const T_REPL_SUBSCRIBE: u8 = 0x21;
-const T_COMMIT_TOKEN: u8 = 0x22;
-const T_READ_AT: u8 = 0x23;
-const T_REPL_ACK: u8 = 0x24;
-const T_QUERY: u8 = 0x25;
-const T_SHARD_PREPARE: u8 = 0x30;
-const T_SHARD_DECIDE: u8 = 0x31;
-const T_SHARD_STATUS: u8 = 0x32;
-const T_SHARD_IN_DOUBT: u8 = 0x33;
-const T_ROUTING_SNAPSHOT: u8 = 0x34;
-const T_MIG_FETCH: u8 = 0x35;
-const T_HELLO: u8 = 0x80;
-const T_BUSY: u8 = 0x81;
-const T_PONG: u8 = 0x82;
-const T_STATS_REPLY: u8 = 0x83;
-const T_OUTCOME: u8 = 0x84;
-const T_ROW: u8 = 0x85;
-const T_OK: u8 = 0x86;
-const T_ERROR: u8 = 0x87;
-const T_OBS_REPLY: u8 = 0x88;
-const T_SNAP_BEGIN: u8 = 0x90;
-const T_SNAP_PAGE: u8 = 0x91;
-const T_SNAP_END: u8 = 0x92;
-const T_LOG_CHUNK: u8 = 0x93;
-const T_TOKEN: u8 = 0x94;
-const T_LAGGING: u8 = 0x95;
-const T_SHARD_VOTE: u8 = 0x96;
-const T_SHARD_DECISION: u8 = 0x97;
-const T_SHARD_GTIDS: u8 = 0x98;
-const T_FENCED: u8 = 0x99;
-const T_QUORUM_TIMEOUT: u8 = 0x9A;
-const T_ROWS: u8 = 0x9B;
-const T_ROUTING: u8 = 0x9C;
-const T_MIG_ROWS: u8 = 0x9D;
-const T_WRONG_SHARD: u8 = 0x9E;
-
-// Op tags inside OneShot.
-const OP_READ: u8 = 0;
-const OP_WRITE: u8 = 1;
-const OP_ADD: u8 = 2;
-const OP_INSERT: u8 = 3;
-const OP_DELETE: u8 = 4;
-
-// Outcome tags.
-const OUT_COMMITTED: u8 = 0;
-const OUT_LOGICAL: u8 = 1;
-const OUT_CONFLICT: u8 = 2;
-
-// Plan node tags inside Query.
-const WP_SCAN: u8 = 0;
-const WP_INDEX_SCAN: u8 = 1;
-const WP_FILTER: u8 = 2;
-const WP_PROJECT: u8 = 3;
-const WP_AGGREGATE: u8 = 4;
-const WP_SORT: u8 = 5;
-
-fn cmp_to_u8(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    }
-}
-
-fn cmp_from_u8(tag: u8) -> Result<CmpOp, FrameError> {
-    Ok(match tag {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        _ => return Err(FrameError::Malformed("unknown comparison tag")),
-    })
-}
-
-fn agg_to_u8(func: AggFunc) -> u8 {
-    match func {
-        AggFunc::Sum => 0,
-        AggFunc::Count => 1,
-        AggFunc::Min => 2,
-        AggFunc::Max => 3,
-    }
-}
-
-fn agg_from_u8(tag: u8) -> Result<AggFunc, FrameError> {
-    Ok(match tag {
-        0 => AggFunc::Sum,
-        1 => AggFunc::Count,
-        2 => AggFunc::Min,
-        3 => AggFunc::Max,
-        _ => return Err(FrameError::Malformed("unknown aggregate tag")),
-    })
-}
-
-/// Checked cursor over a payload: every read verifies length first, so
-/// truncated or lying frames surface as [`FrameError::Malformed`], never as
-/// a panic out of the underlying [`Buf`].
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
-    }
-
-    fn need(&self, n: usize) -> Result<(), FrameError> {
-        if self.buf.remaining() < n {
-            Err(FrameError::Malformed("truncated field"))
-        } else {
-            Ok(())
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn i64(&mut self) -> Result<i64, FrameError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
-    }
-
-    fn row(&mut self) -> Result<Vec<i64>, FrameError> {
-        let cols = self.u16()? as usize;
-        // 8 bytes per column must actually be present; checked per-read.
-        let mut row = Vec::with_capacity(cols.min(1024));
-        for _ in 0..cols {
-            row.push(self.i64()?);
-        }
-        Ok(row)
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        let len = self.u16()? as usize;
-        self.need(len)?;
-        let mut bytes = vec![0u8; len];
-        self.buf.copy_to_slice(&mut bytes);
-        String::from_utf8(bytes).map_err(|_| FrameError::Malformed("non-utf8 string"))
-    }
-
-    /// u32-length-prefixed byte blob (pages and log spans overflow the
-    /// u16-prefixed [`Reader::string`] encoding).
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let len = self.u32()? as usize;
-        self.need(len)?;
-        let mut bytes = vec![0u8; len];
-        self.buf.copy_to_slice(&mut bytes);
-        Ok(bytes)
-    }
-
-    fn finish(self) -> Result<(), FrameError> {
-        if self.buf.remaining() != 0 {
-            Err(FrameError::Malformed("trailing bytes"))
-        } else {
-            Ok(())
-        }
-    }
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &StatsSnapshot) {
-    out.put_u64_le(s.commits);
-    out.put_u64_le(s.aborts);
-    out.put_u64_le(s.durable_lsn);
-    out.put_u64_le(s.current_lsn);
-    out.put_u64_le(s.wal_flushes);
-}
-
-fn get_stats(r: &mut Reader<'_>) -> Result<StatsSnapshot, FrameError> {
-    Ok(StatsSnapshot {
-        commits: r.u64()?,
-        aborts: r.u64()?,
-        durable_lsn: r.u64()?,
-        current_lsn: r.u64()?,
-        wal_flushes: r.u64()?,
-    })
-}
-
-fn put_profile(out: &mut Vec<u8>, p: &WaitProfile) {
-    out.put_u64_le(p.useful);
-    out.put_u64_le(p.lock_wait);
-    out.put_u64_le(p.latch_spin);
-    out.put_u64_le(p.log_wait);
-    out.put_u64_le(p.io_retry);
-    out.put_u64_le(p.commit_flush);
-}
-
-fn get_profile(r: &mut Reader<'_>) -> Result<WaitProfile, FrameError> {
-    Ok(WaitProfile {
-        useful: r.u64()?,
-        lock_wait: r.u64()?,
-        latch_spin: r.u64()?,
-        log_wait: r.u64()?,
-        io_retry: r.u64()?,
-        commit_flush: r.u64()?,
-    })
-}
-
-fn put_hist(out: &mut Vec<u8>, h: &HistogramSnapshot) {
-    out.put_u64_le(h.count);
-    out.put_u64_le(h.sum);
-    for b in &h.buckets {
-        out.put_u64_le(*b);
-    }
-}
-
-fn get_hist(r: &mut Reader<'_>) -> Result<HistogramSnapshot, FrameError> {
-    let mut h = HistogramSnapshot { count: r.u64()?, sum: r.u64()?, ..Default::default() };
-    for i in 0..BUCKETS {
-        h.buckets[i] = r.u64()?;
-    }
-    Ok(h)
-}
-
-fn put_row(out: &mut Vec<u8>, row: &[i64]) {
-    debug_assert!(row.len() <= u16::MAX as usize);
-    out.put_u16_le(row.len() as u16);
-    for v in row {
-        out.put_i64_le(*v);
-    }
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = &s.as_bytes()[..s.len().min(u16::MAX as usize)];
-    out.put_u16_le(bytes.len() as u16);
-    out.put_slice(bytes);
-}
-
-fn encode_op(out: &mut Vec<u8>, op: &WorkloadOp) {
-    match op {
-        WorkloadOp::Read { table, key } => {
-            out.put_u8(OP_READ);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-        }
-        WorkloadOp::Write { table, key, row } => {
-            out.put_u8(OP_WRITE);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            put_row(out, row);
-        }
-        WorkloadOp::Add { table, key, col, delta } => {
-            out.put_u8(OP_ADD);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            out.put_u16_le(*col as u16);
-            out.put_i64_le(*delta);
-        }
-        WorkloadOp::Insert { table, key, row } => {
-            out.put_u8(OP_INSERT);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            put_row(out, row);
-        }
-        WorkloadOp::Delete { table, key } => {
-            out.put_u8(OP_DELETE);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-        }
-    }
-}
-
-fn decode_op(r: &mut Reader<'_>) -> Result<WorkloadOp, FrameError> {
-    match r.u8()? {
-        OP_READ => Ok(WorkloadOp::Read { table: r.u32()?, key: r.u64()? }),
-        OP_WRITE => Ok(WorkloadOp::Write { table: r.u32()?, key: r.u64()?, row: r.row()? }),
-        OP_ADD => Ok(WorkloadOp::Add {
-            table: r.u32()?,
-            key: r.u64()?,
-            col: r.u16()? as usize,
-            delta: r.i64()?,
-        }),
-        OP_INSERT => Ok(WorkloadOp::Insert { table: r.u32()?, key: r.u64()?, row: r.row()? }),
-        OP_DELETE => Ok(WorkloadOp::Delete { table: r.u32()?, key: r.u64()? }),
-        _ => Err(FrameError::Malformed("unknown op tag")),
-    }
-}
-
-fn encode_plan(out: &mut Vec<u8>, plan: &WirePlan) {
-    match plan {
-        WirePlan::Scan { table } => {
-            out.put_u8(WP_SCAN);
-            out.put_u32_le(*table);
-        }
-        WirePlan::IndexScan { table, index, lo, hi } => {
-            out.put_u8(WP_INDEX_SCAN);
-            out.put_u32_le(*table);
-            out.put_u32_le(*index);
-            out.put_i64_le(*lo);
-            out.put_i64_le(*hi);
-        }
-        WirePlan::Filter { input, col, op, value } => {
-            out.put_u8(WP_FILTER);
-            encode_plan(out, input);
-            out.put_u32_le(*col);
-            out.put_u8(cmp_to_u8(*op));
-            out.put_i64_le(*value);
-        }
-        WirePlan::Project { input, cols } => {
-            out.put_u8(WP_PROJECT);
-            encode_plan(out, input);
-            debug_assert!(cols.len() <= u16::MAX as usize);
-            out.put_u16_le(cols.len() as u16);
-            for c in cols {
-                out.put_u32_le(*c);
-            }
-        }
-        WirePlan::Aggregate { input, group_col, agg_col, func } => {
-            out.put_u8(WP_AGGREGATE);
-            encode_plan(out, input);
-            match group_col {
-                Some(g) => {
-                    out.put_u8(1);
-                    out.put_u32_le(*g);
-                }
-                None => out.put_u8(0),
-            }
-            out.put_u32_le(*agg_col);
-            out.put_u8(agg_to_u8(*func));
-        }
-        WirePlan::Sort { input, col } => {
-            out.put_u8(WP_SORT);
-            encode_plan(out, input);
-            out.put_u32_le(*col);
-        }
-    }
-}
-
-fn decode_plan(r: &mut Reader<'_>, depth: usize) -> Result<WirePlan, FrameError> {
-    if depth >= MAX_PLAN_DEPTH {
-        return Err(FrameError::Malformed("plan nested too deeply"));
-    }
-    Ok(match r.u8()? {
-        WP_SCAN => WirePlan::Scan { table: r.u32()? },
-        WP_INDEX_SCAN => WirePlan::IndexScan {
-            table: r.u32()?,
-            index: r.u32()?,
-            lo: r.i64()?,
-            hi: r.i64()?,
+wire_enum! {
+    /// Server → client messages.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Response in response, "unknown response tag" {
+        /// Greeting: the session was admitted.
+        T_HELLO = 0x80 => Hello,
+        /// Greeting: the server is at its session cap; retry later. The
+        /// connection closes after this frame — structured load shedding, not a
+        /// hang or an unbounded queue.
+        T_BUSY = 0x81 => Busy,
+        /// Ping reply.
+        T_PONG = 0x82 => Pong,
+        /// STATS reply.
+        T_STATS_REPLY = 0x83 => Stats(stats: ServerStats),
+        /// OBS_STATS reply: the versioned snapshot (boxed — it carries four
+        /// histograms and would otherwise dominate every `Response`'s size).
+        T_OBS_REPLY = 0x88 => ObsStats(snap: Box<ObsSnapshot>),
+        /// One-shot transaction result.
+        T_OUTCOME = 0x84 => Outcome(outcome: SpecOutcome),
+        /// A row, from an interactive [`Request::Read`].
+        T_ROW = 0x85 => Row(row: Vec<i64>),
+        /// Generic success (begin / update / insert / commit / abort).
+        T_OK = 0x86 => Ok,
+        /// The request failed; the session stays usable.
+        T_ERROR = 0x87 => Error(msg: String),
+        /// Snapshot header: the checkpoint's start LSN (where the subscriber's
+        /// log apply must begin) and the table catalog.
+        T_SNAP_BEGIN = 0x90 => SnapBegin {
+            /// First LSN the replica must apply after installing the pages.
+            start_lsn: u64,
+            /// Per table: id, name, arity, heap page ids in heap order.
+            catalog: Vec<(u32, String, u32, Vec<u64>)> as u16,
+            /// Secondary index declarations, flattened: `(table_id, index_id,
+            /// name, column, kind)` with kind as in
+            /// `esdb_storage::IndexKind::as_u8`. Index *contents* never ride a
+            /// snapshot — they are derived state the replica rebuilds from the
+            /// installed heap and keeps current through redo.
+            indexes: Vec<(u32, u32, String, u32, u8)> as u16,
         },
-        WP_FILTER => {
-            let input = Box::new(decode_plan(r, depth + 1)?);
-            WirePlan::Filter {
-                input,
-                col: r.u32()?,
-                op: cmp_from_u8(r.u8()?)?,
-                value: r.i64()?,
-            }
-        }
-        WP_PROJECT => {
-            let input = Box::new(decode_plan(r, depth + 1)?);
-            let n = r.u16()? as usize;
-            let mut cols = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                cols.push(r.u32()?);
-            }
-            WirePlan::Project { input, cols }
-        }
-        WP_AGGREGATE => {
-            let input = Box::new(decode_plan(r, depth + 1)?);
-            let group_col = match r.u8()? {
-                0 => None,
-                1 => Some(r.u32()?),
-                _ => return Err(FrameError::Malformed("bad option tag")),
-            };
-            WirePlan::Aggregate {
-                input,
-                group_col,
-                agg_col: r.u32()?,
-                func: agg_from_u8(r.u8()?)?,
-            }
-        }
-        WP_SORT => {
-            let input = Box::new(decode_plan(r, depth + 1)?);
-            WirePlan::Sort { input, col: r.u32()? }
-        }
-        _ => return Err(FrameError::Malformed("unknown plan tag")),
-    })
-}
-
-/// Outcome payload: shared by [`Response::Outcome`] and
-/// [`Response::ShardVote`].
-fn put_outcome(out: &mut Vec<u8>, outcome: &SpecOutcome) {
-    match outcome {
-        SpecOutcome::Committed { reads } => {
-            out.put_u8(OUT_COMMITTED);
-            debug_assert!(reads.len() <= u16::MAX as usize);
-            out.put_u16_le(reads.len() as u16);
-            for read in reads {
-                match read {
-                    Some(row) => {
-                        out.put_u8(1);
-                        put_row(out, row);
-                    }
-                    None => out.put_u8(0),
-                }
-            }
-        }
-        SpecOutcome::LogicalFailure => out.put_u8(OUT_LOGICAL),
-        SpecOutcome::ConflictFailure => out.put_u8(OUT_CONFLICT),
+        /// One checkpointed page (raw [`esdb_storage`] page bytes).
+        T_SNAP_PAGE = 0x91 => SnapPage {
+            /// Page id on the primary (replicas install under the same id).
+            page_id: u64,
+            /// The page image.
+            bytes: Vec<u8>,
+        },
+        /// Snapshot trailer.
+        T_SNAP_END = 0x92 => SnapEnd {
+            /// Pages streamed, for the replica's sanity check.
+            page_count: u64,
+        },
+        /// A shipped span of the durable log, raw record frames starting at
+        /// `start`. The receiver runs its own `decode_stream_checked` over the
+        /// accumulated stream — the WAL's CRC framing rides the wire unchanged.
+        /// Every chunk is stamped with the shipping primary's term: a receiver
+        /// that has adopted a higher term treats the chunk as coming from a
+        /// fenced, stale primary and drops the feed.
+        T_LOG_CHUNK = 0x93 => LogChunk {
+            /// The shipping primary's replication term.
+            term: u64,
+            /// Stream offset of `bytes[0]`.
+            start: u64,
+            /// Raw log bytes.
+            bytes: Vec<u8>,
+        },
+        /// A read-your-writes token ([`Request::CommitToken`] reply).
+        T_TOKEN = 0x94 => Token {
+            /// The primary's durable LSN at token time.
+            lsn: u64,
+        },
+        /// A [`Request::ReadAt`] the replica could not serve freshly enough.
+        T_LAGGING = 0x95 => Lagging {
+            /// How far the replica had applied when it gave up.
+            applied: u64,
+        },
+        /// A participant's vote on a [`Request::ShardPrepare`]: `Committed`
+        /// means *prepared* (yes-vote, reads attached); a failure outcome means
+        /// the participant aborted locally and votes no.
+        T_SHARD_VOTE = 0x96 => ShardVote {
+            /// Global transaction id, echoed for pipelining sanity.
+            gtid: u64,
+            /// The vote: committed = prepared; failure = aborted locally.
+            outcome: SpecOutcome,
+        },
+        /// The coordinator's (possibly presumed) decision for a
+        /// [`Request::ShardStatus`] query.
+        T_SHARD_DECISION = 0x97 => ShardDecision {
+            /// Global transaction id, echoed.
+            gtid: u64,
+            /// `true` = commit; `false` = abort (including presumed abort).
+            commit: bool,
+        },
+        /// Prepared-but-undecided gtids on this participant
+        /// ([`Request::ShardInDoubt`] reply).
+        T_SHARD_GTIDS = 0x98 => ShardGtids(gtids: Vec<u64>),
+        /// This server has observed a higher replication term than the
+        /// requester's and refuses the operation (a deposed primary must not
+        /// ship, a stale subscriber must re-sync). Carries the higher term so
+        /// the receiver can adopt it.
+        T_FENCED = 0x99 => Fenced {
+            /// The highest term this server has observed.
+            term: u64,
+        },
+        /// The transaction *is* durably committed on the primary, but the
+        /// semi-sync quorum wait timed out before K followers acked durability
+        /// at the commit LSN. A typed degradation, never a hang: the caller
+        /// knows the commit's replication guarantee is not yet met.
+        T_QUORUM_TIMEOUT = 0x9A => QuorumTimeout {
+            /// The commit LSN that was waiting for acks.
+            lsn: u64,
+            /// Followers that had acked `lsn` when the wait gave up.
+            acked: u32,
+            /// Acks the quorum policy required.
+            needed: u32,
+        },
+        /// Result rows of a [`Request::Query`]. The whole result is one frame,
+        /// so the server bounds result size and answers [`Response::Error`]
+        /// when a query would overflow it.
+        T_ROWS = 0x9B => Rows(rows: Vec<Vec<i64>> as u32),
+        /// The server's current routing table ([`Request::RoutingSnapshot`]
+        /// reply): the fencing epoch and the full slot → shard map.
+        T_ROUTING = 0x9C => Routing {
+            /// Routing epoch this map was installed under.
+            epoch: u64,
+            /// `slots[s]` is the shard owning slot `s`.
+            slots: Vec<u32> as u32,
+        },
+        /// One batch of migration rows ([`Request::MigFetch`] reply): the
+        /// committed `(key, row)` pairs of the requested slot.
+        T_MIG_ROWS = 0x9D => MigRows {
+            /// The slot's rows, in scan order.
+            rows: Vec<(u64, Vec<i64>)> as u32,
+        },
+        /// This server no longer (or does not yet) own the slot the request
+        /// touches — the rebalancing analog of [`Response::Fenced`]. Carries
+        /// the server's routing epoch and its best hint at the owning shard so
+        /// a stale router can refresh and retry instead of silently reading
+        /// from a shard that gave the data away.
+        T_WRONG_SHARD = 0x9E => WrongShard {
+            /// The server's current routing epoch (greater than the stale
+            /// requester's, or the requester would not have come here).
+            epoch: u64,
+            /// The shard this server believes owns the touched slot.
+            hint: u32,
+        },
     }
 }
 
-fn get_outcome(r: &mut Reader<'_>) -> Result<SpecOutcome, FrameError> {
-    match r.u8()? {
-        OUT_COMMITTED => {
-            let n = r.u16()? as usize;
-            let mut reads = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                match r.u8()? {
-                    0 => reads.push(None),
-                    1 => reads.push(Some(r.row()?)),
-                    _ => return Err(FrameError::Malformed("bad option tag")),
-                }
-            }
-            Ok(SpecOutcome::Committed { reads })
-        }
-        OUT_LOGICAL => Ok(SpecOutcome::LogicalFailure),
-        OUT_CONFLICT => Ok(SpecOutcome::ConflictFailure),
-        _ => Err(FrameError::Malformed("unknown outcome tag")),
+wire_enum! {
+    impl WorkloadOp in op, "unknown op tag" {
+        OP_READ = 0 => Read { table: u32, key: u64 },
+        OP_WRITE = 1 => Write { table: u32, key: u64, row: Vec<i64> },
+        OP_ADD = 2 => Add { table: u32, key: u64, col: usize as u16, delta: i64 },
+        OP_INSERT = 3 => Insert { table: u32, key: u64, row: Vec<i64> },
+        OP_DELETE = 4 => Delete { table: u32, key: u64 },
     }
 }
 
-/// Appends one framed request to `out`.
-pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
-    let at = begin_frame(out);
-    match req {
-        Request::Ping => out.put_u8(T_PING),
-        Request::Stats => out.put_u8(T_STATS),
-        Request::ObsStats => out.put_u8(T_OBS_STATS),
-        Request::OneShot { may_fail, ops } => {
-            out.put_u8(T_ONE_SHOT);
-            out.put_u8(u8::from(*may_fail));
-            debug_assert!(ops.len() <= u16::MAX as usize);
-            out.put_u16_le(ops.len() as u16);
-            for op in ops {
-                encode_op(out, op);
-            }
-        }
-        Request::Begin => out.put_u8(T_BEGIN),
-        Request::Read { table, key } => {
-            out.put_u8(T_READ);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-        }
-        Request::Update { table, key, row } => {
-            out.put_u8(T_UPDATE);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            put_row(out, row);
-        }
-        Request::Insert { table, key, row } => {
-            out.put_u8(T_INSERT);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            put_row(out, row);
-        }
-        Request::Commit => out.put_u8(T_COMMIT),
-        Request::Abort => out.put_u8(T_ABORT),
-        Request::ReplSnapshot => out.put_u8(T_REPL_SNAPSHOT),
-        Request::ReplSubscribe { from, term } => {
-            out.put_u8(T_REPL_SUBSCRIBE);
-            out.put_u64_le(*from);
-            out.put_u64_le(*term);
-        }
-        Request::ReplAck { term, lsn } => {
-            out.put_u8(T_REPL_ACK);
-            out.put_u64_le(*term);
-            out.put_u64_le(*lsn);
-        }
-        Request::CommitToken => out.put_u8(T_COMMIT_TOKEN),
-        Request::ReadAt { table, key, min_lsn } => {
-            out.put_u8(T_READ_AT);
-            out.put_u32_le(*table);
-            out.put_u64_le(*key);
-            out.put_u64_le(*min_lsn);
-        }
-        Request::ShardPrepare { gtid, ops } => {
-            out.put_u8(T_SHARD_PREPARE);
-            out.put_u64_le(*gtid);
-            debug_assert!(ops.len() <= u16::MAX as usize);
-            out.put_u16_le(ops.len() as u16);
-            for op in ops {
-                encode_op(out, op);
-            }
-        }
-        Request::ShardDecide { gtid, commit } => {
-            out.put_u8(T_SHARD_DECIDE);
-            out.put_u64_le(*gtid);
-            out.put_u8(u8::from(*commit));
-        }
-        Request::ShardStatus { gtid } => {
-            out.put_u8(T_SHARD_STATUS);
-            out.put_u64_le(*gtid);
-        }
-        Request::ShardInDoubt => out.put_u8(T_SHARD_IN_DOUBT),
-        Request::Query { min_lsn, plan } => {
-            out.put_u8(T_QUERY);
-            out.put_u64_le(*min_lsn);
-            encode_plan(out, plan);
-        }
-        Request::RoutingSnapshot => out.put_u8(T_ROUTING_SNAPSHOT),
-        Request::MigFetch { table, slot, slot_count } => {
-            out.put_u8(T_MIG_FETCH);
-            out.put_u32_le(*table);
-            out.put_u32_le(*slot);
-            out.put_u32_le(*slot_count);
-        }
+// Shared by `Response::Outcome` and `Response::ShardVote`.
+wire_enum! {
+    impl SpecOutcome in outcome, "unknown outcome tag" {
+        OUT_COMMITTED = 0 => Committed { reads: Vec<Option<Vec<i64>>> as u16 },
+        OUT_LOGICAL = 1 => LogicalFailure,
+        OUT_CONFLICT = 2 => ConflictFailure,
     }
-    end_frame(out, at);
 }
 
-/// Encodes a one-shot request straight from a workload spec (the `kind`
-/// string stays client-side; the client keys its per-kind report off the
-/// specs it sent, so the name never crosses the wire).
-pub fn encode_spec(spec: &TxnSpec, out: &mut Vec<u8>) {
-    encode_request(
-        &Request::OneShot { may_fail: spec.may_fail, ops: spec.ops.clone() },
-        out,
-    );
-}
-
-/// Appends one framed response to `out`.
-pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
-    let at = begin_frame(out);
-    match resp {
-        Response::Hello => out.put_u8(T_HELLO),
-        Response::Busy => out.put_u8(T_BUSY),
-        Response::Pong => out.put_u8(T_PONG),
-        Response::Stats(s) => {
-            out.put_u8(T_STATS_REPLY);
-            put_stats(out, &s.engine);
-            out.put_u64_le(s.sessions_accepted);
-            out.put_u64_le(s.sessions_shed);
-            out.put_u64_le(s.sessions_active);
-            out.put_u64_le(s.txns_executed);
-            out.put_u64_le(s.txns_committed);
-            out.put_u64_le(s.batches);
-        }
-        Response::ObsStats(snap) => {
-            out.put_u8(T_OBS_REPLY);
-            out.put_u32_le(snap.version);
-            put_stats(out, &snap.stats);
-            put_profile(out, &snap.breakdown);
-            put_hist(out, &snap.lock_wait);
-            put_hist(out, &snap.wal_flush);
-            put_hist(out, &snap.pool_miss);
-            put_hist(out, &snap.txn_latency);
-        }
-        Response::Outcome(outcome) => {
-            out.put_u8(T_OUTCOME);
-            put_outcome(out, outcome);
-        }
-        Response::Row(row) => {
-            out.put_u8(T_ROW);
-            put_row(out, row);
-        }
-        Response::Ok => out.put_u8(T_OK),
-        Response::Error(msg) => {
-            out.put_u8(T_ERROR);
-            put_string(out, msg);
-        }
-        Response::SnapBegin { start_lsn, catalog, indexes } => {
-            out.put_u8(T_SNAP_BEGIN);
-            out.put_u64_le(*start_lsn);
-            debug_assert!(catalog.len() <= u16::MAX as usize);
-            out.put_u16_le(catalog.len() as u16);
-            for (id, name, arity, pages) in catalog {
-                out.put_u32_le(*id);
-                put_string(out, name);
-                out.put_u32_le(*arity);
-                debug_assert!(pages.len() <= u32::MAX as usize);
-                out.put_u32_le(pages.len() as u32);
-                for page in pages {
-                    out.put_u64_le(*page);
-                }
-            }
-            debug_assert!(indexes.len() <= u16::MAX as usize);
-            out.put_u16_le(indexes.len() as u16);
-            for (table, index, name, col, kind) in indexes {
-                out.put_u32_le(*table);
-                out.put_u32_le(*index);
-                put_string(out, name);
-                out.put_u32_le(*col);
-                out.put_u8(*kind);
-            }
-        }
-        Response::SnapPage { page_id, bytes } => {
-            out.put_u8(T_SNAP_PAGE);
-            out.put_u64_le(*page_id);
-            put_bytes(out, bytes);
-        }
-        Response::SnapEnd { page_count } => {
-            out.put_u8(T_SNAP_END);
-            out.put_u64_le(*page_count);
-        }
-        Response::LogChunk { term, start, bytes } => {
-            out.put_u8(T_LOG_CHUNK);
-            out.put_u64_le(*term);
-            out.put_u64_le(*start);
-            put_bytes(out, bytes);
-        }
-        Response::Token { lsn } => {
-            out.put_u8(T_TOKEN);
-            out.put_u64_le(*lsn);
-        }
-        Response::Lagging { applied } => {
-            out.put_u8(T_LAGGING);
-            out.put_u64_le(*applied);
-        }
-        Response::ShardVote { gtid, outcome } => {
-            out.put_u8(T_SHARD_VOTE);
-            out.put_u64_le(*gtid);
-            put_outcome(out, outcome);
-        }
-        Response::ShardDecision { gtid, commit } => {
-            out.put_u8(T_SHARD_DECISION);
-            out.put_u64_le(*gtid);
-            out.put_u8(u8::from(*commit));
-        }
-        Response::ShardGtids(gtids) => {
-            out.put_u8(T_SHARD_GTIDS);
-            debug_assert!(gtids.len() <= u32::MAX as usize);
-            out.put_u32_le(gtids.len() as u32);
-            for g in gtids {
-                out.put_u64_le(*g);
-            }
-        }
-        Response::Fenced { term } => {
-            out.put_u8(T_FENCED);
-            out.put_u64_le(*term);
-        }
-        Response::QuorumTimeout { lsn, acked, needed } => {
-            out.put_u8(T_QUORUM_TIMEOUT);
-            out.put_u64_le(*lsn);
-            out.put_u32_le(*acked);
-            out.put_u32_le(*needed);
-        }
-        Response::Rows(rows) => {
-            out.put_u8(T_ROWS);
-            debug_assert!(rows.len() <= u32::MAX as usize);
-            out.put_u32_le(rows.len() as u32);
-            for row in rows {
-                put_row(out, row);
-            }
-        }
-        Response::Routing { epoch, slots } => {
-            out.put_u8(T_ROUTING);
-            out.put_u64_le(*epoch);
-            debug_assert!(slots.len() <= u32::MAX as usize);
-            out.put_u32_le(slots.len() as u32);
-            for shard in slots {
-                out.put_u32_le(*shard);
-            }
-        }
-        Response::MigRows { rows } => {
-            out.put_u8(T_MIG_ROWS);
-            debug_assert!(rows.len() <= u32::MAX as usize);
-            out.put_u32_le(rows.len() as u32);
-            for (key, row) in rows {
-                out.put_u64_le(*key);
-                put_row(out, row);
-            }
-        }
-        Response::WrongShard { epoch, hint } => {
-            out.put_u8(T_WRONG_SHARD);
-            out.put_u64_le(*epoch);
-            out.put_u32_le(*hint);
-        }
+wire_enum! {
+    impl CmpOp in cmp_op, "unknown comparison tag" {
+        CMP_EQ = 0 => Eq,
+        CMP_NE = 1 => Ne,
+        CMP_LT = 2 => Lt,
+        CMP_LE = 3 => Le,
+        CMP_GT = 4 => Gt,
+        CMP_GE = 5 => Ge,
     }
-    end_frame(out, at);
 }
 
-/// u32-length-prefixed byte blob, the writer side of [`Reader::bytes`].
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    debug_assert!(bytes.len() <= u32::MAX as usize);
-    out.put_u32_le(bytes.len() as u32);
-    out.extend_from_slice(bytes);
+wire_enum! {
+    impl AggFunc in agg_func, "unknown aggregate tag" {
+        AGG_SUM = 0 => Sum,
+        AGG_COUNT = 1 => Count,
+        AGG_MIN = 2 => Min,
+        AGG_MAX = 3 => Max,
+    }
 }
 
-/// Reserves a frame header; returns the patch offset for [`end_frame`].
-fn begin_frame(out: &mut Vec<u8>) -> usize {
+/// Appends `put`'s bytes to `out` as one frame, patching in the length.
+fn framed(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
     let at = out.len();
-    out.put_u32_le(0);
-    at
-}
-
-/// Patches the header with the payload length written since [`begin_frame`].
-fn end_frame(out: &mut Vec<u8>, at: usize) {
+    out.put_slice(&[0; HEADER_LEN]);
+    put(out);
     let len = out.len() - at - HEADER_LEN;
     debug_assert!(len <= MAX_FRAME, "encoded frame exceeds MAX_FRAME");
     out[at..at + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
+/// Appends one framed request to `out`.
+pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
+    framed(out, |out| req.put(out));
+}
+
+/// Encodes a one-shot request straight from a workload spec, borrowing its
+/// ops (the `kind` string stays client-side; the client keys its per-kind
+/// report off the specs it sent, so the name never crosses the wire).
+pub fn encode_spec(spec: &TxnSpec, out: &mut Vec<u8>) {
+    framed(out, |out| request::OneShot(&spec.may_fail, &spec.ops, out));
+}
+
+/// Appends one framed response to `out`.
+pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
+    framed(out, |out| resp.put(out));
+}
+
 /// Result of trying to decode one frame from a byte stream.
 pub type Decoded<T> = Result<Option<(T, usize)>, FrameError>;
 
-/// Splits off one frame payload: `Ok(None)` while bytes are still missing,
-/// `Err` if the length prefix is unusable.
-fn take_frame(buf: &[u8]) -> Decoded<&[u8]> {
-    if buf.len() < HEADER_LEN {
+/// Decodes one frame from the front of `buf`: `Ok(None)` while bytes are
+/// still missing, an error if the frame can never parse.
+fn decode_frame<T: Wire>(buf: &[u8]) -> Decoded<T> {
+    let Some(header) = buf.get(..HEADER_LEN) else {
         return Ok(None);
-    }
-    let mut header = &buf[..HEADER_LEN];
-    let len = header.get_u32_le() as usize;
+    };
+    let len = u32::from_le_bytes(header.try_into().expect("header width")) as usize;
     if len > MAX_FRAME {
         return Err(FrameError::Oversized(len));
     }
     if len == 0 {
         return Err(FrameError::Malformed("empty payload"));
     }
-    if buf.len() < HEADER_LEN + len {
+    let Some(payload) = buf.get(HEADER_LEN..HEADER_LEN + len) else {
         return Ok(None);
-    }
-    Ok(Some((&buf[HEADER_LEN..HEADER_LEN + len], HEADER_LEN + len)))
+    };
+    let mut r = Reader { buf: payload, depth: 0 };
+    let frame = T::get(&mut r)?;
+    r.finish()?;
+    Ok(Some((frame, HEADER_LEN + len)))
 }
 
 /// Decodes one request frame from the front of `buf`. Returns the request
 /// and the number of bytes consumed, `Ok(None)` if the frame is incomplete,
 /// or an error if it can never parse.
 pub fn decode_request(buf: &[u8]) -> Decoded<Request> {
-    let Some((payload, consumed)) = take_frame(buf)? else {
-        return Ok(None);
-    };
-    let mut r = Reader::new(payload);
-    let req = match r.u8()? {
-        T_PING => Request::Ping,
-        T_STATS => Request::Stats,
-        T_OBS_STATS => Request::ObsStats,
-        T_ONE_SHOT => {
-            let may_fail = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(FrameError::Malformed("bad bool")),
-            };
-            let n = r.u16()? as usize;
-            let mut ops = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                ops.push(decode_op(&mut r)?);
-            }
-            Request::OneShot { may_fail, ops }
-        }
-        T_BEGIN => Request::Begin,
-        T_READ => Request::Read { table: r.u32()?, key: r.u64()? },
-        T_UPDATE => Request::Update { table: r.u32()?, key: r.u64()?, row: r.row()? },
-        T_INSERT => Request::Insert { table: r.u32()?, key: r.u64()?, row: r.row()? },
-        T_COMMIT => Request::Commit,
-        T_ABORT => Request::Abort,
-        T_REPL_SNAPSHOT => Request::ReplSnapshot,
-        T_REPL_SUBSCRIBE => Request::ReplSubscribe { from: r.u64()?, term: r.u64()? },
-        T_REPL_ACK => Request::ReplAck { term: r.u64()?, lsn: r.u64()? },
-        T_COMMIT_TOKEN => Request::CommitToken,
-        T_READ_AT => Request::ReadAt { table: r.u32()?, key: r.u64()?, min_lsn: r.u64()? },
-        T_SHARD_PREPARE => {
-            let gtid = r.u64()?;
-            let n = r.u16()? as usize;
-            let mut ops = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                ops.push(decode_op(&mut r)?);
-            }
-            Request::ShardPrepare { gtid, ops }
-        }
-        T_SHARD_DECIDE => {
-            let gtid = r.u64()?;
-            let commit = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(FrameError::Malformed("bad bool")),
-            };
-            Request::ShardDecide { gtid, commit }
-        }
-        T_SHARD_STATUS => Request::ShardStatus { gtid: r.u64()? },
-        T_SHARD_IN_DOUBT => Request::ShardInDoubt,
-        T_QUERY => {
-            let min_lsn = r.u64()?;
-            Request::Query { min_lsn, plan: decode_plan(&mut r, 0)? }
-        }
-        T_ROUTING_SNAPSHOT => Request::RoutingSnapshot,
-        T_MIG_FETCH => Request::MigFetch {
-            table: r.u32()?,
-            slot: r.u32()?,
-            slot_count: r.u32()?,
-        },
-        _ => return Err(FrameError::Malformed("unknown request tag")),
-    };
-    r.finish()?;
-    Ok(Some((req, consumed)))
+    decode_frame(buf)
 }
 
 /// Decodes one response frame from the front of `buf` (client side).
 pub fn decode_response(buf: &[u8]) -> Decoded<Response> {
-    let Some((payload, consumed)) = take_frame(buf)? else {
-        return Ok(None);
-    };
-    let mut r = Reader::new(payload);
-    let resp = match r.u8()? {
-        T_HELLO => Response::Hello,
-        T_BUSY => Response::Busy,
-        T_PONG => Response::Pong,
-        T_STATS_REPLY => Response::Stats(ServerStats {
-            engine: get_stats(&mut r)?,
-            sessions_accepted: r.u64()?,
-            sessions_shed: r.u64()?,
-            sessions_active: r.u64()?,
-            txns_executed: r.u64()?,
-            txns_committed: r.u64()?,
-            batches: r.u64()?,
-        }),
-        T_OBS_REPLY => {
-            // Version gate first: a snapshot from a newer build decodes to a
-            // typed error, never a guess at its layout (and never a panic).
-            let version = r.u32()?;
-            if version != OBS_SNAPSHOT_VERSION {
-                return Err(FrameError::UnsupportedVersion(version));
-            }
-            Response::ObsStats(Box::new(ObsSnapshot {
-                version,
-                stats: get_stats(&mut r)?,
-                breakdown: get_profile(&mut r)?,
-                lock_wait: get_hist(&mut r)?,
-                wal_flush: get_hist(&mut r)?,
-                pool_miss: get_hist(&mut r)?,
-                txn_latency: get_hist(&mut r)?,
-            }))
-        }
-        T_OUTCOME => Response::Outcome(get_outcome(&mut r)?),
-        T_ROW => Response::Row(r.row()?),
-        T_OK => Response::Ok,
-        T_ERROR => Response::Error(r.string()?),
-        T_SNAP_BEGIN => {
-            let start_lsn = r.u64()?;
-            let n = r.u16()? as usize;
-            let mut catalog = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let id = r.u32()?;
-                let name = r.string()?;
-                let arity = r.u32()?;
-                let pn = r.u32()? as usize;
-                // 8 bytes per page id must actually be present; checked per-read.
-                let mut pages = Vec::with_capacity(pn.min(1024));
-                for _ in 0..pn {
-                    pages.push(r.u64()?);
-                }
-                catalog.push((id, name, arity, pages));
-            }
-            let ni = r.u16()? as usize;
-            let mut indexes = Vec::with_capacity(ni.min(1024));
-            for _ in 0..ni {
-                indexes.push((r.u32()?, r.u32()?, r.string()?, r.u32()?, r.u8()?));
-            }
-            Response::SnapBegin { start_lsn, catalog, indexes }
-        }
-        T_SNAP_PAGE => Response::SnapPage { page_id: r.u64()?, bytes: r.bytes()? },
-        T_SNAP_END => Response::SnapEnd { page_count: r.u64()? },
-        T_LOG_CHUNK => Response::LogChunk { term: r.u64()?, start: r.u64()?, bytes: r.bytes()? },
-        T_TOKEN => Response::Token { lsn: r.u64()? },
-        T_LAGGING => Response::Lagging { applied: r.u64()? },
-        T_SHARD_VOTE => Response::ShardVote { gtid: r.u64()?, outcome: get_outcome(&mut r)? },
-        T_SHARD_DECISION => {
-            let gtid = r.u64()?;
-            let commit = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(FrameError::Malformed("bad bool")),
-            };
-            Response::ShardDecision { gtid, commit }
-        }
-        T_SHARD_GTIDS => {
-            let n = r.u32()? as usize;
-            let mut gtids = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                gtids.push(r.u64()?);
-            }
-            Response::ShardGtids(gtids)
-        }
-        T_FENCED => Response::Fenced { term: r.u64()? },
-        T_QUORUM_TIMEOUT => Response::QuorumTimeout {
-            lsn: r.u64()?,
-            acked: r.u32()?,
-            needed: r.u32()?,
-        },
-        T_ROWS => {
-            let n = r.u32()? as usize;
-            let mut rows = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                rows.push(r.row()?);
-            }
-            Response::Rows(rows)
-        }
-        T_ROUTING => {
-            let epoch = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut slots = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                slots.push(r.u32()?);
-            }
-            Response::Routing { epoch, slots }
-        }
-        T_MIG_ROWS => {
-            let n = r.u32()? as usize;
-            let mut rows = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let key = r.u64()?;
-                rows.push((key, r.row()?));
-            }
-            Response::MigRows { rows }
-        }
-        T_WRONG_SHARD => Response::WrongShard { epoch: r.u64()?, hint: r.u32()? },
-        _ => return Err(FrameError::Malformed("unknown response tag")),
-    };
-    r.finish()?;
-    Ok(Some((resp, consumed)))
+    decode_frame(buf)
 }
 
 #[cfg(test)]

@@ -85,6 +85,39 @@ fn client_op_timeout_surfaces_typed() {
     stall.join().unwrap();
 }
 
+/// The write side of the op timeout: a peer that greets and then never reads
+/// lets a pipelined batch fill the socket buffers, and the blocked write
+/// surfaces as the same typed timeout, not a raw `WouldBlock` I/O error.
+#[test]
+fn client_write_stall_surfaces_typed() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stall = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut hello = Vec::new();
+        esdb_net::protocol::encode_response(&esdb_net::protocol::Response::Hello, &mut hello);
+        sock.write_all(&hello).unwrap();
+        std::thread::sleep(Duration::from_secs(2)); // hold the socket open, read nothing
+    });
+    let mut client = Client::connect(addr).unwrap();
+    client.set_op_timeout(Some(Duration::from_millis(100))).unwrap();
+    // ~16 MiB of frames: far past what loopback send + receive buffers hold
+    // while the receiver never reads.
+    let wide = TxnSpec {
+        kind: "wide",
+        ops: vec![WorkloadOp::Write { table: 0, key: 1, row: vec![7; 50_000] }],
+        may_fail: false,
+    };
+    let batch = vec![wide; 40];
+    let started = Instant::now();
+    match client.run_pipelined(&batch) {
+        Err(NetError::Protocol(FrameError::Timeout)) => {}
+        other => panic!("expected typed timeout, got {other:?}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(1), "must not block to the bitter end");
+    stall.join().unwrap();
+}
+
 /// Tentpole, quorum over the wire: with no follower acks the commit path
 /// degrades to a typed QuorumTimeout (the txn *is* durable locally); once a
 /// subscriber acks durability past the commit LSN, commits succeed again.

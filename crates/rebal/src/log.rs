@@ -147,9 +147,11 @@ impl MigrationLog {
             }
         }
         MigrationLog {
-            // Resume the LSN stream past everything the dead incarnation
-            // may have handed to the device.
-            wal: Arc::new(Wal::new_at(self.wal.durable_lsn() + (1 << 24), LogPolicy::Serial, None)),
+            wal: Arc::new(Wal::new_at(
+                esdb_wal::resume_lsn(self.wal.durable_lsn()),
+                LogPolicy::Serial,
+                None,
+            )),
             state: Mutex::new(state),
         }
     }

@@ -113,10 +113,8 @@ impl DecisionLog {
             }
         }
         DecisionLog {
-            // The fresh incarnation resumes the LSN stream past everything
-            // the dead one may have handed to the device.
             wal: Arc::new(Wal::new_at(
-                self.wal.durable_lsn() + (1 << 24),
+                esdb_wal::resume_lsn(self.wal.durable_lsn()),
                 LogPolicy::Serial,
                 None,
             )),

@@ -223,7 +223,7 @@ pub fn recover(
     // --- Undo: roll back losers in reverse LSN order. -------------------
     // Undo actions get fresh LSNs past the end of the log so page-LSN
     // ordering stays monotone.
-    let mut undo_lsn = max_lsn + 1_000_000;
+    let mut undo_lsn = max_lsn + UNDO_GAP;
     for r in records.iter().rev() {
         if !report.losers.contains(&r.txn_id) {
             continue;
@@ -270,6 +270,23 @@ pub fn recover(
         t.rebuild_secondaries()?;
     }
     Ok(report)
+}
+
+/// How far past the log's end [`recover`] starts stamping undo LSNs (one
+/// per undone record, counting upward).
+const UNDO_GAP: Lsn = 1_000_000;
+
+/// The first LSN of a log incarnation started after a crash, given the
+/// dead incarnation's durable end. Every log that restarts — the engine's
+/// and the 2PC-decision and migration control logs — resumes here.
+///
+/// The new stream must begin past every LSN the old one can have left on a
+/// page or on the device: its records all lie below `durable` (the unflushed
+/// tail is lost), and recovery stamps undo LSNs upward from the last
+/// record's LSN plus `UNDO_GAP`. A gap of 2^24 leaves room for ~15.7M
+/// undone records, so page-LSN ordering stays monotone across the crash.
+pub fn resume_lsn(durable: Lsn) -> Lsn {
+    durable + (1 << 24)
 }
 
 /// Rolls back one transaction's logged effects in reverse order using its

@@ -49,6 +49,9 @@ echo "== smoke: failover (quorum commit, fencing, promotion torture matrix) =="
 # (typed QuorumTimeout/Fenced frames, stalled-peer timeout, dead-feed reads).
 cargo test --release -q -p esdb-repl --test failover_torture
 cargo test --release -q -p esdb-net --test net_failover
+# The wire codec: its unit tests, the round-trip/totality proptests, and the
+# golden bytes that pin every frame's tag and layout.
+cargo test --release -q -p esdb-net --lib --test protocol_props --test wire_golden
 
 echo "== smoke: reactor scale (tab3 loopback at 1 and 2 reactors + reduced herd) =="
 # The same tab3 loopback run pinned to one reactor and then two: numbers
