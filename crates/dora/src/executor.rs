@@ -277,8 +277,12 @@ impl Executor {
                 Ok(None)
             }
             ActionOp::Delete => {
+                // The record goes to the log before the slot is freed: an
+                // executor on another partition may reuse the slot at once,
+                // and its insert must not precede this delete in the log, or
+                // redo would delete the newer row.
                 let rid = t.rid_of(key).map_err(|_| ())?;
-                let before = t.delete_logged(key, 0).map_err(|_| ())?;
+                let before = t.get(key).map_err(|_| ())?;
                 let lsn = self
                     .wal
                     .append(txn, 0, &LogBody::Delete {
@@ -288,7 +292,7 @@ impl Executor {
                         before: before.clone(),
                     })
                     .start;
-                let _ = t.heap().stamp_page_lsn(rid.page, lsn);
+                t.delete_logged(key, lsn).map_err(|_| ())?;
                 self.undo.entry(txn).or_default().push(UndoOp::Delete {
                     table,
                     key,
@@ -333,14 +337,13 @@ impl Executor {
         match op {
             UndoOp::Insert { table, key } => {
                 if let Some(t) = self.tables.get(&table).cloned() {
-                    if let Ok(rid) = t.rid_of(key) {
-                        if let Ok(before) = t.delete_logged(key, 0) {
-                            let lsn = self
-                                .wal
-                                .append(txn, 0, &LogBody::Delete { table, key, rid, before })
-                                .start;
-                            let _ = t.heap().stamp_page_lsn(rid.page, lsn);
-                        }
+                    // Log before freeing the slot, as in `apply`'s delete.
+                    if let (Ok(rid), Ok(before)) = (t.rid_of(key), t.get(key)) {
+                        let lsn = self
+                            .wal
+                            .append(txn, 0, &LogBody::Delete { table, key, rid, before })
+                            .start;
+                        let _ = t.delete_logged(key, lsn);
                     }
                 }
             }
