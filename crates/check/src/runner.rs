@@ -24,9 +24,9 @@ use crate::schedule::{
     shrink_trace, MinTag, Pct, RandomWalk, ReplaySchedule, Schedule, Strategy, Trace,
 };
 use crate::vthread::{adopt_and_wait, finish, CheckHook, Cmd, Handshake, Report};
-use esdb_core::spec_exec::SpecOutcome;
-use esdb_core::{Database, ExecutionModel, TxnError};
-use esdb_txn::TxnManager;
+use esdb_core::spec_exec::{self, SpecOutcome};
+use esdb_core::{Database, ExecutionModel};
+use esdb_txn::Txn;
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -523,7 +523,18 @@ fn run_schedule(scenario: &Scenario, mut schedule: Box<dyn Schedule>, cfg: &Chec
             for spec in &script {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     if record {
-                        run_conventional_recorded(db.txn_manager(), retries, spec, &recorder)
+                        // The engine's own interpreter and retry loop, with
+                        // every access and commit stamped into the history.
+                        let observe = |id, table, key, write| {
+                            recorder.record(id, table, key, write);
+                        };
+                        let commit = |txn: Txn| {
+                            let id = txn.id();
+                            txn.commit();
+                            recorder.commit(id);
+                        };
+                        let mgr = db.txn_manager();
+                        spec_exec::run_conventional(mgr, retries, spec, observe, commit).0
                     } else {
                         db.run_spec(spec)
                     }
@@ -635,88 +646,4 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic".to_string()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Recorded conventional execution (mirrors core::spec_exec::apply_ops, with
-// every successful access stamped into the history recorder)
-// ---------------------------------------------------------------------------
-
-fn run_conventional_recorded(
-    mgr: &Arc<TxnManager>,
-    retries: usize,
-    spec: &TxnSpec,
-    rec: &Recorder,
-) -> SpecOutcome {
-    let mut attempt = 0;
-    loop {
-        let mut txn = mgr.begin();
-        let id = txn.id();
-        match apply_ops_recorded(&mut txn, spec, rec) {
-            Ok(reads) => {
-                txn.commit();
-                rec.commit(id);
-                return SpecOutcome::Committed { reads };
-            }
-            Err(e) => {
-                txn.abort();
-                match e {
-                    TxnError::Lock(_) if attempt < retries => attempt += 1,
-                    TxnError::Lock(_) => return SpecOutcome::ConflictFailure,
-                    _ => return SpecOutcome::LogicalFailure,
-                }
-            }
-        }
-    }
-}
-
-fn apply_ops_recorded(
-    txn: &mut esdb_txn::Txn,
-    spec: &TxnSpec,
-    rec: &Recorder,
-) -> Result<Vec<Option<Vec<i64>>>, TxnError> {
-    let id = txn.id();
-    let mut reads: Vec<Option<Vec<i64>>> = Vec::with_capacity(spec.ops.len());
-    for op in &spec.ops {
-        match op {
-            WorkloadOp::Read { table, key } => {
-                let row = txn.read(*table, *key)?;
-                rec.record(id, *table, *key, false);
-                reads.push(Some(row));
-            }
-            WorkloadOp::Write { table, key, row } => {
-                txn.update(*table, *key, row)?;
-                rec.record(id, *table, *key, true);
-                reads.push(None);
-            }
-            WorkloadOp::Add { table, key, col, delta } => {
-                let before = txn.read_for_update(*table, *key)?;
-                rec.record(id, *table, *key, true);
-                let mut after = before.clone();
-                if *col >= after.len() {
-                    return Err(TxnError::Storage(
-                        esdb_storage::StorageError::ArityMismatch {
-                            expected: after.len(),
-                            got: *col + 1,
-                        },
-                    ));
-                }
-                after[*col] += delta;
-                txn.update(*table, *key, &after)?;
-                rec.record(id, *table, *key, true);
-                reads.push(Some(before));
-            }
-            WorkloadOp::Insert { table, key, row } => {
-                txn.insert(*table, *key, row)?;
-                rec.record(id, *table, *key, true);
-                reads.push(None);
-            }
-            WorkloadOp::Delete { table, key } => {
-                let before = txn.delete(*table, *key)?;
-                rec.record(id, *table, *key, true);
-                reads.push(Some(before));
-            }
-        }
-    }
-    Ok(reads)
 }

@@ -108,26 +108,6 @@ pub struct ObsSnapshot {
     pub txn_latency: esdb_obs::HistogramSnapshot,
 }
 
-/// A participant's two-phase-commit vote on one transaction spec.
-#[derive(Debug)]
-pub enum PrepareVote {
-    /// Yes: the transaction is prepared — its `Prepare` record is durable
-    /// and every lock stays held until [`Database::decide`] delivers the
-    /// coordinator's answer. `reads` carries per-op results exactly as in
-    /// [`SpecOutcome::Committed`].
-    Commit {
-        /// Per-op read results.
-        reads: Vec<Option<Vec<i64>>>,
-    },
-    /// No: the transaction aborted locally (locks released, buffered writes
-    /// undone — exactly once, on this side of the vote). The outcome says
-    /// why; the coordinator must now decide abort globally.
-    Abort {
-        /// Why the participant voted no.
-        outcome: SpecOutcome,
-    },
-}
-
 /// A running esdb database instance.
 pub struct Database {
     config: EngineConfig,
@@ -279,9 +259,7 @@ impl Database {
     /// model this database is configured with.
     pub fn run_spec(&self, spec: &esdb_workload::TxnSpec) -> SpecOutcome {
         match self.config.execution {
-            ExecutionModel::Conventional { .. } => {
-                spec_exec::run_conventional(&self.txn_mgr, self.config.retries, spec)
-            }
+            ExecutionModel::Conventional { .. } => self.run_conventional(spec, Txn::commit).0,
             ExecutionModel::Dora { .. } => spec_exec::run_dora(self.dora(), spec),
         }
     }
@@ -302,7 +280,8 @@ impl Database {
     ) -> (SpecOutcome, Option<esdb_wal::Lsn>) {
         match self.config.execution {
             ExecutionModel::Conventional { .. } => {
-                spec_exec::run_conventional_deferred(&self.txn_mgr, self.config.retries, spec)
+                let (outcome, lsn) = self.run_conventional(spec, Txn::commit_deferred);
+                (outcome, lsn.flatten())
             }
             ExecutionModel::Dora { .. } => (spec_exec::run_dora(self.dora(), spec), None),
         }
@@ -310,30 +289,41 @@ impl Database {
 
     /// Two-phase-commit participant hook: runs `spec` and, on success,
     /// leaves the transaction *prepared* — `Prepare { gtid }` durable, all
-    /// locks held — registered under `gtid` until [`Database::decide`].
-    /// A failed run aborts locally, exactly once, and votes no.
+    /// locks held — registered under `gtid` until [`Database::decide`]. A
+    /// [`SpecOutcome::Committed`] answer is the yes-vote and carries the
+    /// per-op reads; any other outcome is a no-vote, after the run aborted
+    /// locally, exactly once.
     ///
     /// Only the conventional engine participates in 2PC; DORA configs vote
     /// no (their executors commit internally and cannot hold a transaction
     /// open across the vote). A gtid already registered here also votes no
     /// — gtids are single-use by the coordinator's contract.
-    pub fn run_spec_prepare(&self, gtid: u64, spec: &esdb_workload::TxnSpec) -> PrepareVote {
+    pub fn run_spec_prepare(&self, gtid: u64, spec: &esdb_workload::TxnSpec) -> SpecOutcome {
         if !matches!(self.config.execution, ExecutionModel::Conventional { .. }) {
-            return PrepareVote::Abort { outcome: SpecOutcome::LogicalFailure };
+            return SpecOutcome::LogicalFailure;
         }
-        match spec_exec::run_conventional_prepare(&self.txn_mgr, self.config.retries, gtid, spec) {
-            Ok((handle, reads)) => {
-                let mut reg = self.prepared.lock();
-                if reg.contains_key(&gtid) {
-                    drop(reg);
-                    handle.abort_decided();
-                    return PrepareVote::Abort { outcome: SpecOutcome::LogicalFailure };
-                }
-                reg.insert(gtid, handle);
-                PrepareVote::Commit { reads }
+        let (outcome, handle) = self.run_conventional(spec, |txn| txn.prepare(gtid));
+        if let Some(handle) = handle {
+            let mut reg = self.prepared.lock();
+            if reg.contains_key(&gtid) {
+                drop(reg);
+                handle.abort_decided();
+                return SpecOutcome::LogicalFailure;
             }
-            Err(outcome) => PrepareVote::Abort { outcome },
+            reg.insert(gtid, handle);
         }
+        outcome
+    }
+
+    /// Runs `spec` on the conventional engine, finishing a successful run
+    /// with `finish`.
+    fn run_conventional<F>(
+        &self,
+        spec: &esdb_workload::TxnSpec,
+        finish: impl FnOnce(Txn) -> F,
+    ) -> (SpecOutcome, Option<F>) {
+        let retries = self.config.retries;
+        spec_exec::run_conventional(&self.txn_mgr, retries, spec, |_, _, _, _| {}, finish)
     }
 
     /// Delivers the coordinator's decision for `gtid` to the prepared
@@ -784,7 +774,7 @@ mod tests {
             may_fail: false,
         };
         let vote = db.run_spec_prepare(77, &spec);
-        let PrepareVote::Commit { reads } = vote else {
+        let SpecOutcome::Committed { reads } = vote else {
             panic!("clean prepare must vote commit: {vote:?}")
         };
         assert_eq!(reads, vec![Some(vec![10])]);
@@ -819,10 +809,7 @@ mod tests {
             may_fail: true,
         };
         let vote = db.run_spec_prepare(5, &spec);
-        assert!(
-            matches!(vote, PrepareVote::Abort { outcome: SpecOutcome::LogicalFailure }),
-            "{vote:?}"
-        );
+        assert_eq!(vote, SpecOutcome::LogicalFailure);
         assert_eq!(db.txn_manager().stats().aborts, aborts_before + 1, "exactly one abort");
         assert_eq!(db.read_committed(t, 1).unwrap(), vec![10], "buffered write undone once");
         assert!(db.prepared_gtids().is_empty(), "vote-no is never registered");
@@ -851,10 +838,10 @@ mod tests {
             ops: vec![WorkloadOp::Add { table: t, key, col: 0, delta: 1 }],
             may_fail: false,
         };
-        assert!(matches!(db.run_spec_prepare(9, &mk(1)), PrepareVote::Commit { .. }));
+        assert!(db.run_spec_prepare(9, &mk(1)).is_committed());
         // Same gtid again (different key, so no lock conflict): rejected,
         // and the rejected attempt's work is rolled back.
-        assert!(matches!(db.run_spec_prepare(9, &mk(2)), PrepareVote::Abort { .. }));
+        assert!(!db.run_spec_prepare(9, &mk(2)).is_committed());
         assert!(db.decide(9, true));
         assert_eq!(db.read_committed(t, 1).unwrap(), vec![1]);
         assert_eq!(db.read_committed(t, 2).unwrap(), vec![0], "duplicate's write undone");
@@ -869,7 +856,7 @@ mod tests {
             ops: vec![WorkloadOp::Insert { table: t, key: 1, row: vec![1] }],
             may_fail: false,
         };
-        assert!(matches!(db.run_spec_prepare(1, &spec), PrepareVote::Abort { .. }));
+        assert!(!db.run_spec_prepare(1, &spec).is_committed());
     }
 
     #[test]
@@ -886,7 +873,7 @@ mod tests {
                 ops: vec![WorkloadOp::Add { table: t, key: 1, col: 0, delta: 5 }],
                 may_fail: false,
             };
-            assert!(matches!(db.run_spec_prepare(33, &spec), PrepareVote::Commit { .. }));
+            assert!(db.run_spec_prepare(33, &spec).is_committed());
             let records = db.wal().durable_records();
             let (recovered, report) = db.simulate_crash_with_report(false);
             std::mem::forget(db); // crashed processes don't run Drop rollbacks

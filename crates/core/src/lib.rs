@@ -37,7 +37,7 @@ pub mod simbridge;
 pub mod spec_exec;
 
 pub use config::{EngineConfig, ExecutionModel};
-pub use db::{Database, DbError, ObsSnapshot, PrepareVote, StatsSnapshot, OBS_SNAPSHOT_VERSION};
+pub use db::{Database, DbError, ObsSnapshot, StatsSnapshot, OBS_SNAPSHOT_VERSION};
 pub use quorum::{QuorumError, QuorumPolicy, ReplGroup};
 pub use routing::{slot_of, RoutingTable, DEFAULT_SLOTS};
 pub use metrics::WorkloadReport;

@@ -18,12 +18,8 @@
 /// single slot is a modest fraction of the data.
 pub const DEFAULT_SLOTS: u32 = 16;
 
-/// The slot owning `(table, key)` out of `slots` — the same Fibonacci
-/// multiplicative hash the static [`HashPartitioner`] uses, so a routing
-/// table built with [`RoutingTable::uniform`] places keys exactly where the
-/// static partitioner did.
-///
-/// [`HashPartitioner`]: https://en.wikipedia.org/wiki/Hash_function#Fibonacci_hashing
+/// The slot owning `(table, key)` out of `slots`: a Fibonacci
+/// multiplicative hash, so uniform keys spread evenly over the slots.
 pub fn slot_of(table: u32, key: u64, slots: u32) -> u32 {
     let x = (u64::from(table) << 56) ^ key;
     let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);

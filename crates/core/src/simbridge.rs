@@ -8,19 +8,14 @@
 use crate::config::{EngineConfig, ExecutionModel, LatchChoice, LogChoice};
 use esdb_sim::dbmodel::{compile, DbModelConfig, EngineKind, LogKind, SimTxn};
 use esdb_sim::{ChipConfig, SimReport, Simulation, WaitPolicy};
-use esdb_workload::{Workload, WorkloadOp};
+use esdb_workload::{op_target, Workload};
 
 /// Converts a workload spec into the simulator's read/write-set form.
 pub fn to_sim_txn(spec: &esdb_workload::TxnSpec) -> SimTxn {
     let mut txn = SimTxn::default();
     for op in &spec.ops {
-        match op {
-            WorkloadOp::Read { table, key } => txn.reads.push((*table, *key)),
-            WorkloadOp::Write { table, key, .. }
-            | WorkloadOp::Add { table, key, .. }
-            | WorkloadOp::Insert { table, key, .. }
-            | WorkloadOp::Delete { table, key } => txn.writes.push((*table, *key)),
-        }
+        let set = if op.is_read() { &mut txn.reads } else { &mut txn.writes };
+        set.push(op_target(op));
     }
     txn
 }
@@ -128,7 +123,7 @@ pub fn run_sim_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esdb_workload::Tatp;
+    use esdb_workload::{Tatp, WorkloadOp};
 
     #[test]
     fn spec_conversion_splits_reads_and_writes() {

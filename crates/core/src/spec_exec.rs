@@ -1,8 +1,8 @@
 //! Executing engine-agnostic transaction specs on either execution model.
 
 use esdb_dora::{Action, ActionOp, DoraError, DoraSystem};
-use esdb_txn::{PreparedTxn, Txn, TxnError, TxnManager, TxnResult};
-use esdb_wal::Lsn;
+use esdb_txn::manager::is_retryable;
+use esdb_txn::{Txn, TxnError, TxnManager, TxnResult};
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::sync::Arc;
 
@@ -29,19 +29,32 @@ impl SpecOutcome {
 }
 
 /// Applies every op of `spec` inside `txn`, collecting per-op read results.
-fn apply_ops(txn: &mut Txn, spec: &TxnSpec) -> TxnResult<Vec<Option<Vec<i64>>>> {
+/// `observe(txn_id, table, key, write)` fires after each access succeeds:
+/// once per read, write, insert or delete, and twice for an `Add` (after
+/// its read-for-update and after its update). Engine callers pass a no-op;
+/// the deterministic checker records its conflict history through it.
+pub fn apply_ops(
+    txn: &mut Txn,
+    spec: &TxnSpec,
+    mut observe: impl FnMut(u64, u32, u64, bool),
+) -> TxnResult<Vec<Option<Vec<i64>>>> {
+    let id = txn.id();
     let mut reads: Vec<Option<Vec<i64>>> = Vec::with_capacity(spec.ops.len());
     for op in &spec.ops {
         match op {
             WorkloadOp::Read { table, key } => {
-                reads.push(Some(txn.read(*table, *key)?));
+                let row = txn.read(*table, *key)?;
+                observe(id, *table, *key, false);
+                reads.push(Some(row));
             }
             WorkloadOp::Write { table, key, row } => {
                 txn.update(*table, *key, row)?;
+                observe(id, *table, *key, true);
                 reads.push(None);
             }
             WorkloadOp::Add { table, key, col, delta } => {
                 let before = txn.read_for_update(*table, *key)?;
+                observe(id, *table, *key, true);
                 let mut after = before.clone();
                 if *col >= after.len() {
                     return Err(TxnError::Storage(
@@ -53,92 +66,41 @@ fn apply_ops(txn: &mut Txn, spec: &TxnSpec) -> TxnResult<Vec<Option<Vec<i64>>>> 
                 }
                 after[*col] += delta;
                 txn.update(*table, *key, &after)?;
+                observe(id, *table, *key, true);
                 reads.push(Some(before));
             }
             WorkloadOp::Insert { table, key, row } => {
                 txn.insert(*table, *key, row)?;
+                observe(id, *table, *key, true);
                 reads.push(None);
             }
             WorkloadOp::Delete { table, key } => {
-                reads.push(Some(txn.delete(*table, *key)?));
+                let before = txn.delete(*table, *key)?;
+                observe(id, *table, *key, true);
+                reads.push(Some(before));
             }
         }
     }
     Ok(reads)
 }
 
-/// Runs `spec` as a conventional 2PL transaction.
-pub fn run_conventional(mgr: &Arc<TxnManager>, retries: usize, spec: &TxnSpec) -> SpecOutcome {
-    let result = mgr.run(retries, |txn| apply_ops(txn, spec));
-    match result {
-        Ok(reads) => SpecOutcome::Committed { reads },
-        Err(TxnError::Lock(_)) => SpecOutcome::ConflictFailure,
-        Err(_) => SpecOutcome::LogicalFailure,
-    }
-}
-
-/// Runs `spec` as a conventional 2PL transaction whose commit record is
-/// appended but *not* flushed. On commit, returns the LSN the caller must
-/// pass to `Wal::wait_durable` before acknowledging (`None` for read-only
-/// transactions, which have no commit record).
-///
-/// Mirrors [`TxnManager::run`]'s retry policy: lock victims retry up to
-/// `retries` times; logical failures abort immediately.
-pub fn run_conventional_deferred(
+/// Runs `spec` as a conventional 2PL transaction through
+/// [`TxnManager::run_with`]: lock victims retry up to `retries` times, a
+/// failed attempt aborts exactly once, and the successful attempt is handed
+/// to `finish` — [`Txn::commit`], [`Txn::commit_deferred`], or a 2PC
+/// prepare — whose result comes back beside the committed outcome.
+/// `observe` sees every access, as in [`apply_ops`].
+pub fn run_conventional<F>(
     mgr: &Arc<TxnManager>,
     retries: usize,
     spec: &TxnSpec,
-) -> (SpecOutcome, Option<Lsn>) {
-    let mut attempt = 0;
-    loop {
-        let mut txn = mgr.begin();
-        match apply_ops(&mut txn, spec) {
-            Ok(reads) => {
-                let lsn = txn.commit_deferred();
-                return (SpecOutcome::Committed { reads }, lsn);
-            }
-            Err(e) => {
-                txn.abort();
-                match e {
-                    TxnError::Lock(_) if attempt < retries => attempt += 1,
-                    TxnError::Lock(_) => return (SpecOutcome::ConflictFailure, None),
-                    _ => return (SpecOutcome::LogicalFailure, None),
-                }
-            }
-        }
-    }
-}
-
-/// Runs `spec` as a conventional 2PL transaction and, instead of
-/// committing, *prepares* it for two-phase commit: the `Prepare { gtid }`
-/// record is durable and every lock stays held when this returns `Ok`. The
-/// caller owns the [`PreparedTxn`] and must deliver the coordinator's
-/// decision to finish it.
-///
-/// On failure the transaction aborts — exactly once, inside this function;
-/// the returned outcome is only a description, never a second abort path.
-/// Lock victims retry up to `retries` times, mirroring
-/// [`run_conventional_deferred`].
-pub fn run_conventional_prepare(
-    mgr: &Arc<TxnManager>,
-    retries: usize,
-    gtid: u64,
-    spec: &TxnSpec,
-) -> Result<(PreparedTxn, Vec<Option<Vec<i64>>>), SpecOutcome> {
-    let mut attempt = 0;
-    loop {
-        let mut txn = mgr.begin();
-        match apply_ops(&mut txn, spec) {
-            Ok(reads) => return Ok((txn.prepare(gtid), reads)),
-            Err(e) => {
-                txn.abort();
-                match e {
-                    TxnError::Lock(_) if attempt < retries => attempt += 1,
-                    TxnError::Lock(_) => return Err(SpecOutcome::ConflictFailure),
-                    _ => return Err(SpecOutcome::LogicalFailure),
-                }
-            }
-        }
+    mut observe: impl FnMut(u64, u32, u64, bool),
+    finish: impl FnOnce(Txn) -> F,
+) -> (SpecOutcome, Option<F>) {
+    match mgr.run_with(retries, |txn| apply_ops(txn, spec, &mut observe), finish) {
+        Ok((reads, finished)) => (SpecOutcome::Committed { reads }, Some(finished)),
+        Err(e) if is_retryable(&e) => (SpecOutcome::ConflictFailure, None),
+        Err(_) => (SpecOutcome::LogicalFailure, None),
     }
 }
 

@@ -58,7 +58,7 @@ use esdb_core::config::ExecutionModel;
 use esdb_core::{Database, QuorumError, ReplGroup};
 use esdb_txn::Txn;
 use esdb_wal::Lsn;
-use esdb_workload::{TxnSpec, WorkloadOp};
+use esdb_workload::{op_target, TxnSpec, WorkloadOp};
 use minipoll::{Event, Interest, Poller, WakeHandle, Waker};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -852,13 +852,7 @@ fn exec_one(shared: &Arc<Shared>, conn: &mut Conn, req: Request, now: Instant, i
             }
             shared.counters.txns_executed.fetch_add(1, Ordering::Relaxed);
             let spec = TxnSpec { kind: "shard", ops, may_fail: true };
-            let outcome = match db.run_spec_prepare(gtid, &spec) {
-                esdb_core::PrepareVote::Commit { reads } => {
-                    esdb_core::spec_exec::SpecOutcome::Committed { reads }
-                }
-                esdb_core::PrepareVote::Abort { outcome } => outcome,
-            };
-            Response::ShardVote { gtid, outcome }
+            Response::ShardVote { gtid, outcome: db.run_spec_prepare(gtid, &spec) }
         }
         // 2PC phase two: finish a prepared transaction. Unknown gtids are
         // acknowledged too — a retried decision must be idempotent.
@@ -942,13 +936,7 @@ const MIG_FETCH_MAX_ROWS: usize = 8192;
 fn ownership_refusal(shared: &Arc<Shared>, ops: &[WorkloadOp]) -> Option<Response> {
     let check = shared.config.ownership_check.as_ref()?;
     for op in ops {
-        let (table, key) = match *op {
-            WorkloadOp::Read { table, key }
-            | WorkloadOp::Write { table, key, .. }
-            | WorkloadOp::Add { table, key, .. }
-            | WorkloadOp::Insert { table, key, .. }
-            | WorkloadOp::Delete { table, key } => (table, key),
-        };
+        let (table, key) = op_target(op);
         if let Some((epoch, hint)) = (check.0)(table, key) {
             return Some(Response::WrongShard { epoch, hint });
         }

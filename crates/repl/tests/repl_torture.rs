@@ -308,7 +308,7 @@ fn follower_crash_mid_index_build_converges() {
     let (bytes, start) = wal.durable_tail(from).unwrap();
     let avail = ((wal.durable_lsn() - start) as usize).min(bytes.len());
     replica.ingest(start, &bytes[..avail / 3]).unwrap();
-    let mut replica = replica.reopen().unwrap();
+    let replica = replica.reopen().unwrap();
     let replica2 = replica.reopen().unwrap(); // double restart, mid-build state
     let mut replica = replica2;
     ship_available(wal, &mut replica).unwrap();

@@ -5,8 +5,8 @@
 //! multiplier is *partitioning* — N independent engines, each owning a
 //! hash slice of every table, with a thin routing layer in front.
 //!
-//! * [`partition`] — key → shard placement ([`HashPartitioner`] for uniform
-//!   spread, [`BranchPartitioner`] for TPC-B branch alignment).
+//! * [`partition`] — key → shard placement ([`BranchPartitioner`] for TPC-B
+//!   branch alignment; [`SharedRouting`]'s slot table for uniform spread).
 //! * [`router`] — [`ShardRouter`] classifies each transaction. Single-shard
 //!   transactions take the existing one-shot fast path on their home shard,
 //!   untouched. Cross-shard transactions run two-phase commit.
@@ -44,7 +44,7 @@ pub mod routing;
 pub mod workload;
 
 pub use coordinator::DecisionLog;
-pub use partition::{BranchPartitioner, HashPartitioner, Partitioner};
+pub use partition::{BranchPartitioner, Partitioner};
 pub use recovery::{resolve_in_doubt, ResolveReport};
 pub use router::{CrashPoint, LocalShard, NetShard, ShardBackend, ShardRouter, TwoPcTrace};
 pub use routing::{OwnedShard, SharedRouting, ShardOwnership};

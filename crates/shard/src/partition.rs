@@ -10,20 +10,6 @@ pub trait Partitioner: Send + Sync {
     fn shard_of(&self, table: u32, key: u64, n: usize) -> usize;
 }
 
-/// Uniform placement: a Fibonacci multiplicative hash of `(table, key)`.
-/// Ignores schema relationships, so multi-row transactions usually straddle
-/// shards — the stress configuration for the 2PC path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashPartitioner;
-
-impl Partitioner for HashPartitioner {
-    fn shard_of(&self, table: u32, key: u64, n: usize) -> usize {
-        let x = (u64::from(table) << 56) ^ key;
-        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % n.max(1)
-    }
-}
-
 /// TPC-B-aware placement: every row lands with its branch, so a
 /// debit/credit whose account, teller, branch, and history row share one
 /// branch is single-shard by construction. Cross-shard traffic then comes
@@ -61,28 +47,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hash_partitioner_spreads_and_stays_in_range() {
-        let p = HashPartitioner;
-        let mut seen = [0usize; 4];
-        for key in 0..10_000u64 {
-            let s = p.shard_of(2, key, 4);
-            assert!(s < 4);
-            seen[s] += 1;
-        }
-        for (i, count) in seen.iter().enumerate() {
-            assert!(*count > 1_500, "shard {i} starved: {count}");
-        }
-    }
-
-    #[test]
-    fn hash_partitioner_is_deterministic() {
-        let p = HashPartitioner;
-        for key in [0u64, 1, 42, u64::MAX] {
-            assert_eq!(p.shard_of(3, key, 8), p.shard_of(3, key, 8));
-        }
-    }
-
-    #[test]
     fn branch_partitioner_keeps_a_branch_together() {
         let p = BranchPartitioner { accounts_per_branch: 100 };
         let n = 4;
@@ -91,14 +55,6 @@ mod tests {
             assert_eq!(p.shard_of(tpcb::TELLERS, b * tpcb::TELLERS_PER_BRANCH + 3, n), home);
             assert_eq!(p.shard_of(tpcb::ACCOUNTS, b * 100 + 57, n), home);
             assert_eq!(p.shard_of(tpcb::HISTORY, (999 << 8) | b, n), home);
-        }
-    }
-
-    #[test]
-    fn single_shard_owns_everything() {
-        let p = HashPartitioner;
-        for key in 0..100u64 {
-            assert_eq!(p.shard_of(0, key, 1), 0);
         }
     }
 }

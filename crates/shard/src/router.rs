@@ -4,8 +4,9 @@ use crate::coordinator::DecisionLog;
 use crate::partition::Partitioner;
 use crate::ShardError;
 use esdb_core::spec_exec::SpecOutcome;
-use esdb_core::{Database, PrepareVote};
+use esdb_core::Database;
 use esdb_net::Client;
+pub use esdb_workload::op_target;
 use esdb_workload::{TxnSpec, WorkloadOp};
 use std::sync::Arc;
 
@@ -34,10 +35,7 @@ impl ShardBackend for LocalShard {
 
     fn prepare(&mut self, gtid: u64, ops: Vec<WorkloadOp>) -> Result<SpecOutcome, ShardError> {
         let spec = TxnSpec { kind: "shard", ops, may_fail: true };
-        Ok(match self.0.run_spec_prepare(gtid, &spec) {
-            PrepareVote::Commit { reads } => SpecOutcome::Committed { reads },
-            PrepareVote::Abort { outcome } => outcome,
-        })
+        Ok(self.0.run_spec_prepare(gtid, &spec))
     }
 
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<(), ShardError> {
@@ -293,20 +291,17 @@ impl ShardRouter {
             let ops: Vec<WorkloadOp> = idxs.iter().map(|&i| spec.ops[i].clone()).collect();
             let vote = match self.shards[*shard].prepare(gtid, ops) {
                 Ok(vote) => vote,
-                // A WrongShard refusal registered nothing on the refusing
-                // shard, but earlier yes-voters hold locks. Abort them and
-                // log the verdict before surfacing — the retry must find no
-                // residue, and recovery must resolve this gtid as aborted.
-                Err(e @ ShardError::WrongShard { .. }) => {
+                // No vote (a WrongShard refusal, a dead link), but every
+                // earlier shard voted yes and holds locks. Log the abort and
+                // deliver it to each of them before surfacing the prepare
+                // error — a retry must find no residue. A shard the abort
+                // cannot reach resolves it from the log in recovery.
+                Err(e) => {
                     self.coord.decide(gtid, false);
-                    for (s, v) in &votes {
-                        if v.is_committed() {
-                            self.shards[*s].decide(gtid, false)?;
-                        }
-                    }
+                    let yes: Vec<usize> = votes.iter().map(|(s, _)| *s).collect();
+                    let _ = self.deliver(gtid, false, &yes);
                     return Err(e);
                 }
-                Err(e) => return Err(e),
             };
             let yes = vote.is_committed();
             votes.push((*shard, vote));
@@ -331,9 +326,7 @@ impl ShardRouter {
         }
         // Phase two: yes-voters apply the verdict; a no-voter already
         // rolled itself back while voting.
-        for &s in &prepared {
-            self.shards[s].decide(gtid, all_yes)?;
-        }
+        self.deliver(gtid, all_yes, &prepared)?;
         let outcome = if all_yes {
             let mut reads = vec![None; spec.ops.len()];
             for ((_, idxs), (_, vote)) in groups.iter().zip(&votes) {
@@ -349,16 +342,19 @@ impl ShardRouter {
         };
         Ok(TwoPcTrace { gtid, prepared, decision: Some(all_yes), outcome: Some(outcome) })
     }
-}
 
-/// The `(table, key)` an op addresses — what placement is decided on.
-pub fn op_target(op: &WorkloadOp) -> (u32, u64) {
-    match op {
-        WorkloadOp::Read { table, key }
-        | WorkloadOp::Write { table, key, .. }
-        | WorkloadOp::Add { table, key, .. }
-        | WorkloadOp::Insert { table, key, .. }
-        | WorkloadOp::Delete { table, key } => (*table, *key),
+    /// Sends the durable verdict for `gtid` to every shard in `shards`, even
+    /// past a failing one, so no reachable participant stays prepared.
+    /// Returns the first delivery error.
+    fn deliver(&mut self, gtid: u64, commit: bool, shards: &[usize]) -> Result<(), ShardError> {
+        let mut first = Ok(());
+        for &s in shards {
+            let sent = self.shards[s].decide(gtid, commit);
+            if first.is_ok() {
+                first = sent;
+            }
+        }
+        first
     }
 }
 
@@ -377,25 +373,63 @@ mod tests {
         }
     }
 
-    fn two_shard_router() -> (ShardRouter, Vec<Arc<Database>>) {
-        let mut dbs = Vec::new();
-        let mut shards: Vec<Box<dyn ShardBackend>> = Vec::new();
-        for _ in 0..2 {
-            let db = Arc::new(Database::open(EngineConfig::default()));
-            let t = db.create_table("t", 1).unwrap();
-            assert_eq!(t, 0);
-            dbs.push(Arc::clone(&db));
-            shards.push(Box::new(LocalShard(db)));
+    /// Two shard engines, each holding only its own keys of `0..10`.
+    fn two_shards() -> Vec<Arc<Database>> {
+        let dbs: Vec<Arc<Database>> =
+            (0..2).map(|_| Arc::new(Database::open(EngineConfig::default()))).collect();
+        for db in &dbs {
+            assert_eq!(db.create_table("t", 1).unwrap(), 0);
         }
-        // Each shard holds only its own keys.
         for key in 0..10u64 {
             dbs[(key % 2) as usize]
                 .execute(|txn| txn.insert(0, key, &[100]))
                 .unwrap();
         }
-        let router =
-            ShardRouter::new(shards, Arc::new(KeyParity), Arc::new(DecisionLog::new())).unwrap();
-        (router, dbs)
+        dbs
+    }
+
+    fn parity_router(shards: Vec<Box<dyn ShardBackend>>) -> ShardRouter {
+        ShardRouter::new(shards, Arc::new(KeyParity), Arc::new(DecisionLog::new())).unwrap()
+    }
+
+    fn two_shard_router() -> (ShardRouter, Vec<Arc<Database>>) {
+        let dbs = two_shards();
+        let shards = dbs
+            .iter()
+            .map(|db| Box::new(LocalShard(Arc::clone(db))) as Box<dyn ShardBackend>)
+            .collect();
+        (parity_router(shards), dbs)
+    }
+
+    /// A shard whose link times out on one 2PC verb; every other call
+    /// reaches the engine behind it.
+    struct DeadOn {
+        shard: LocalShard,
+        prepare: bool,
+    }
+
+    fn timed_out() -> ShardError {
+        ShardError::Net(esdb_net::NetError::Io(std::io::ErrorKind::TimedOut.into()))
+    }
+
+    impl ShardBackend for DeadOn {
+        fn one_shot(&mut self, spec: &TxnSpec) -> Result<SpecOutcome, ShardError> {
+            self.shard.one_shot(spec)
+        }
+
+        fn prepare(&mut self, gtid: u64, ops: Vec<WorkloadOp>) -> Result<SpecOutcome, ShardError> {
+            if self.prepare {
+                return Err(timed_out());
+            }
+            self.shard.prepare(gtid, ops)
+        }
+
+        fn decide(&mut self, gtid: u64, commit: bool) -> Result<(), ShardError> {
+            if !self.prepare {
+                return Err(timed_out());
+            }
+            self.shard.decide(gtid, commit)
+        }
     }
 
     fn add(key: u64, delta: i64) -> WorkloadOp {
@@ -478,6 +512,39 @@ mod tests {
         }
         assert_eq!(dbs[1].read_committed(0, 1).unwrap(), vec![103]);
         assert_eq!(dbs[0].read_committed(0, 2).unwrap(), vec![103]);
+    }
+
+    #[test]
+    fn prepare_error_aborts_the_earlier_yes_voters() {
+        let dbs = two_shards();
+        let dead = DeadOn { shard: LocalShard(Arc::clone(&dbs[1])), prepare: true };
+        let mut router =
+            parity_router(vec![Box::new(LocalShard(Arc::clone(&dbs[0]))), Box::new(dead)]);
+        // Shard 0 votes yes first; shard 1's prepare then times out.
+        let spec = TxnSpec { kind: "t", ops: vec![add(2, 5), add(1, -5)], may_fail: false };
+        assert!(matches!(router.execute(&spec), Err(ShardError::Net(_))));
+        assert_eq!(router.coordinator().decision(0), Some(false), "abort is logged");
+        assert!(dbs[0].prepared_gtids().is_empty(), "the yes-voter was told to abort");
+        assert_eq!(dbs[0].read_committed(0, 2).unwrap(), vec![100]);
+        dbs[0].execute(|txn| txn.update(0, 2, &[1])).unwrap();
+    }
+
+    #[test]
+    fn decide_error_still_reaches_every_other_participant() {
+        let dbs = two_shards();
+        let dead = DeadOn { shard: LocalShard(Arc::clone(&dbs[0])), prepare: false };
+        let mut router =
+            parity_router(vec![Box::new(dead), Box::new(LocalShard(Arc::clone(&dbs[1])))]);
+        // Both vote yes; the commit verdict cannot reach shard 0.
+        let spec = TxnSpec { kind: "t", ops: vec![add(2, 5), add(1, -5)], may_fail: false };
+        assert!(matches!(router.execute(&spec), Err(ShardError::Net(_))));
+        assert_eq!(router.coordinator().decision(0), Some(true));
+        assert!(dbs[1].prepared_gtids().is_empty(), "shard 1 got the verdict");
+        assert_eq!(dbs[1].read_committed(0, 1).unwrap(), vec![95]);
+        // The unreachable shard stays in doubt until recovery resolves it.
+        assert_eq!(dbs[0].prepared_gtids(), vec![0]);
+        assert!(dbs[0].decide(0, router.coordinator().resolve(0)));
+        assert_eq!(dbs[0].read_committed(0, 2).unwrap(), vec![105]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::partition::Partitioner;
 use crate::router::ShardBackend;
 use crate::ShardError;
 use esdb_core::spec_exec::SpecOutcome;
-use esdb_core::{Database, PrepareVote, RoutingTable};
+use esdb_core::{Database, RoutingTable};
 use esdb_workload::{TxnSpec, WorkloadOp};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -307,10 +307,7 @@ impl ShardBackend for OwnedShard {
             return Err(self.wrong_shard(slot));
         }
         let spec = TxnSpec { kind: "shard", ops, may_fail: true };
-        let outcome = match self.db.run_spec_prepare(gtid, &spec) {
-            PrepareVote::Commit { reads } => SpecOutcome::Committed { reads },
-            PrepareVote::Abort { outcome } => outcome,
-        };
+        let outcome = self.db.run_spec_prepare(gtid, &spec);
         if outcome.is_committed() {
             // A yes-vote holds locks until the decision; its slots stay
             // in-flight so a fence cannot cut over under a prepared slice.

@@ -164,23 +164,33 @@ impl TxnManager {
     pub fn run<R>(
         self: &Arc<Self>,
         retries: usize,
-        mut f: impl FnMut(&mut Txn) -> TxnResult<R>,
+        f: impl FnMut(&mut Txn) -> TxnResult<R>,
     ) -> TxnResult<R> {
+        self.run_with(retries, f, Txn::commit).map(|(r, ())| r)
+    }
+
+    /// Runs `f` in a fresh transaction per attempt. A successful attempt is
+    /// handed to `finish` (commit, deferred commit, or 2PC prepare), whose
+    /// result is returned beside `f`'s. A failed attempt aborts — exactly
+    /// once — and lock victims retry up to `retries` times; any other error
+    /// is returned after its single abort.
+    pub fn run_with<R, F>(
+        self: &Arc<Self>,
+        retries: usize,
+        mut f: impl FnMut(&mut Txn) -> TxnResult<R>,
+        finish: impl FnOnce(Txn) -> F,
+    ) -> TxnResult<(R, F)> {
         let mut attempt = 0;
         loop {
             let mut txn = self.begin();
             match f(&mut txn) {
-                Ok(r) => {
-                    txn.commit();
-                    return Ok(r);
-                }
+                Ok(r) => return Ok((r, finish(txn))),
                 Err(e) => {
                     txn.abort();
-                    if is_retryable(&e) && attempt < retries {
-                        attempt += 1;
-                        continue;
+                    if !is_retryable(&e) || attempt == retries {
+                        return Err(e);
                     }
-                    return Err(e);
+                    attempt += 1;
                 }
             }
         }

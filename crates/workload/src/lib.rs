@@ -26,7 +26,7 @@ pub mod ycsb;
 pub mod zipf;
 
 pub use rng::Rng;
-pub use spec::{TableDef, TxnSpec, Workload, WorkloadOp};
+pub use spec::{op_target, TableDef, TxnSpec, Workload, WorkloadOp};
 pub use tatp::Tatp;
 pub use tpcb::Tpcb;
 pub use tpcc::TpccLite;

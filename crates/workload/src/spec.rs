@@ -72,6 +72,18 @@ impl WorkloadOp {
     }
 }
 
+/// The `(table, key)` an op addresses — what placement and slot ownership
+/// are decided on.
+pub fn op_target(op: &WorkloadOp) -> (u32, u64) {
+    match *op {
+        WorkloadOp::Read { table, key }
+        | WorkloadOp::Write { table, key, .. }
+        | WorkloadOp::Add { table, key, .. }
+        | WorkloadOp::Insert { table, key, .. }
+        | WorkloadOp::Delete { table, key } => (table, key),
+    }
+}
+
 /// A transaction: a named op list. Ops may legitimately fail (e.g. TATP
 /// insert-call-forwarding hits an existing key); `may_fail` tells the
 /// harness whether a logical failure counts against correctness.

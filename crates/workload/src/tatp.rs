@@ -231,13 +231,7 @@ mod tests {
         let mut w = Tatp::new(50, 9);
         for _ in 0..1_000 {
             for op in w.next_txn().ops {
-                let (table, key) = match op {
-                    WorkloadOp::Read { table, key }
-                    | WorkloadOp::Delete { table, key } => (table, key),
-                    WorkloadOp::Write { table, key, .. }
-                    | WorkloadOp::Add { table, key, .. }
-                    | WorkloadOp::Insert { table, key, .. } => (table, key),
-                };
+                let (table, key) = crate::op_target(&op);
                 match table {
                     SUBSCRIBER => assert!(key < 50),
                     ACCESS_INFO | SPECIAL_FACILITY => assert!(key < 50 * 4),

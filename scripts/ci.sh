@@ -14,6 +14,10 @@ cargo build --release
 echo "== tier 1: tests =="
 cargo test -q
 
+echo "== gate: no warnings (whole workspace, tests included) =="
+# Its own target dir, so -D warnings does not rebuild the tier-1 artifacts.
+RUSTFLAGS="-D warnings" cargo build -q --workspace --tests --target-dir target/deny-warnings
+
 echo "== smoke: fig1_scaling (reduced sweep) =="
 FIG1_CONTEXTS="1,4" FIG1_SUBSCRIBERS=1000 \
     cargo run --release -p esdb-bench --bin fig1_scaling
