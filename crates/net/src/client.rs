@@ -49,6 +49,12 @@ pub enum NetError {
         /// The shard the server believes owns the touched slot.
         hint: u32,
     },
+    /// A pipelined [`Client::shard_decide`] was answered with something
+    /// other than `Ok` (carried here as text). The verdict is already
+    /// durable on the coordinator, so the participant still resolves the
+    /// gtid through `ShardStatus`; but this connection's replies can no
+    /// longer be matched to its requests, so it fails every later call.
+    DecideRefused(String),
 }
 
 impl std::fmt::Display for NetError {
@@ -65,6 +71,9 @@ impl std::fmt::Display for NetError {
             NetError::Fenced { term } => write!(f, "server fenced by higher term {term}"),
             NetError::WrongShard { epoch, hint } => {
                 write!(f, "wrong shard (routing epoch {epoch}, owner hint shard {hint})")
+            }
+            NetError::DecideRefused(reply) => {
+                write!(f, "pipelined decide not acknowledged: {reply}")
             }
         }
     }
@@ -166,14 +175,27 @@ pub struct Snapshot {
     pub pages: Vec<(u64, Vec<u8>)>,
 }
 
+/// Least free space a socket read gets in the inbox.
+const READ_ROOM: usize = 4 * 1024;
+
 /// A connection to an esdb server.
 pub struct Client {
     stream: TcpStream,
+    /// Received bytes not yet decoded are `inbox[head..tail]`. The rest is
+    /// read space, zeroed once when the buffer grows, never per read.
     inbox: Vec<u8>,
+    head: usize,
+    tail: usize,
     /// When set, a socket read/write that stalls past the timeout surfaces
     /// as the typed [`FrameError::Timeout`] instead of a raw I/O error (see
     /// [`Client::set_op_timeout`]).
     op_timeout: Option<Duration>,
+    /// `Ok` acks still owed for pipelined [`Client::shard_decide`] frames.
+    /// They are read, in order, ahead of the next reply.
+    owed_acks: usize,
+    /// What an owed ack came back as instead of `Ok`. Once set, every call
+    /// fails with [`NetError::DecideRefused`].
+    refused: Option<String>,
 }
 
 impl Client {
@@ -182,7 +204,15 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> Result<Client, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let mut client = Client { stream, inbox: Vec::new(), op_timeout: None };
+        let mut client = Client {
+            stream,
+            inbox: Vec::new(),
+            head: 0,
+            tail: 0,
+            op_timeout: None,
+            owed_acks: 0,
+            refused: None,
+        };
         match client.recv()? {
             Response::Hello => Ok(client),
             Response::Busy => Err(NetError::ServerBusy),
@@ -240,10 +270,13 @@ impl Client {
         self.write(&buf)
     }
 
-    /// Writes encoded frames. Every socket write goes through here, so an
-    /// armed op timeout turns a peer that stops reading into the typed
-    /// timeout.
+    /// Writes encoded frames. Every call writes through here, so an armed
+    /// op timeout turns a peer that stops reading into the typed timeout,
+    /// and a connection with a refused decide fails before it sends.
     fn write(&mut self, buf: &[u8]) -> Result<(), NetError> {
+        if let Some(reply) = &self.refused {
+            return Err(NetError::DecideRefused(reply.clone()));
+        }
         self.stream.write_all(buf).map_err(|e| self.stall_error(e))
     }
 
@@ -262,34 +295,78 @@ impl Client {
         }
     }
 
-    /// Reads the next response frame (blocking). The refusals every verb
-    /// can receive become their typed [`NetError`] here, so callers match
-    /// only their success variant.
+    /// Reads the reply to the last request (blocking), after the acks owed
+    /// for pipelined decides. The refusals every verb can receive become
+    /// their typed [`NetError`] here, so callers match only their success
+    /// variant.
     fn recv(&mut self) -> Result<Response, NetError> {
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if let Some((resp, used)) = decode_response(&self.inbox)? {
-                self.inbox.drain(..used);
-                return match resp {
-                    Response::Error(msg) => Err(NetError::Server(msg)),
-                    Response::Fenced { term } => Err(NetError::Fenced { term }),
-                    Response::WrongShard { epoch, hint } => {
-                        Err(NetError::WrongShard { epoch, hint })
-                    }
-                    Response::QuorumTimeout { lsn, acked, needed } => {
-                        Err(NetError::QuorumTimeout { lsn, acked, needed })
-                    }
-                    resp => Ok(resp),
-                };
+        self.settle()?;
+        match self.read_frame()? {
+            Response::Error(msg) => Err(NetError::Server(msg)),
+            Response::Fenced { term } => Err(NetError::Fenced { term }),
+            Response::WrongShard { epoch, hint } => Err(NetError::WrongShard { epoch, hint }),
+            Response::QuorumTimeout { lsn, acked, needed } => {
+                Err(NetError::QuorumTimeout { lsn, acked, needed })
             }
-            let n = self.stream.read(&mut chunk).map_err(|e| self.stall_error(e))?;
+            resp => Ok(resp),
+        }
+    }
+
+    /// Reads exactly the owed decide acks, in order, and not one frame
+    /// more: a further read would block on a reply nobody asked for. An
+    /// ack that is not `Ok` marks the connection refused for good. A
+    /// socket error leaves the ack owed, so framing stays intact.
+    fn settle(&mut self) -> Result<(), NetError> {
+        while self.owed_acks > 0 && self.refused.is_none() {
+            match self.read_frame()? {
+                Response::Ok => self.owed_acks -= 1,
+                Response::Error(msg) => self.refused = Some(msg),
+                other => self.refused = Some(format!("{other:?}")),
+            }
+        }
+        match &self.refused {
+            Some(reply) => Err(NetError::DecideRefused(reply.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Reads the next frame as the server sent it (blocking).
+    fn read_frame(&mut self) -> Result<Response, NetError> {
+        loop {
+            if let Some((resp, used)) = decode_response(&self.inbox[self.head..self.tail])? {
+                self.head += used;
+                if self.head == self.tail {
+                    self.head = 0;
+                    self.tail = 0;
+                }
+                return Ok(resp);
+            }
+            self.make_read_room();
+            let read = self.stream.read(&mut self.inbox[self.tail..]);
+            let n = read.map_err(|e| self.stall_error(e))?;
             if n == 0 {
                 return Err(NetError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 )));
             }
-            self.inbox.extend_from_slice(&chunk[..n]);
+            self.tail += n;
+        }
+    }
+
+    /// Leaves at least [`READ_ROOM`] bytes of read space after `tail`:
+    /// undecoded bytes slide to the front, and the buffer doubles only when
+    /// that is not enough (a frame larger than the buffer).
+    fn make_read_room(&mut self) {
+        if self.inbox.len() - self.tail >= READ_ROOM {
+            return;
+        }
+        self.inbox.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        if self.inbox.len() - self.tail < READ_ROOM {
+            let grown = (self.inbox.len() * 2).max(self.tail + READ_ROOM);
+            self.inbox.resize(grown, 0);
         }
     }
 
@@ -558,9 +635,21 @@ impl Client {
 
     /// 2PC phase two: deliver the coordinator's decision for `gtid`. Safe to
     /// retry — deciding an unknown gtid is acknowledged without effect.
+    ///
+    /// Pipelined: this writes the frame and returns without waiting for the
+    /// ack. The decision is already durable on the coordinator, so nothing
+    /// the client does depends on the ack. The participant applies frames
+    /// in order, so the verdict takes effect before any later request on
+    /// this connection. The next call reads the owed ack before its own
+    /// reply, and dropping the client reads any still owed (within the op
+    /// timeout), so a participant may list `gtid` as prepared only until
+    /// this connection's next request or its drop. An ack other than `Ok`
+    /// fails that next call, and every later one, with
+    /// [`NetError::DecideRefused`].
     pub fn shard_decide(&mut self, gtid: u64, commit: bool) -> Result<(), NetError> {
         self.send(&Request::ShardDecide { gtid, commit })?;
-        self.expect_ok()
+        self.owed_acks += 1;
+        Ok(())
     }
 
     /// Asks the server's coordinator decision log what became of `gtid`.
@@ -619,6 +708,15 @@ impl Client {
             SpecOutcome::Committed { mut reads } => Ok(reads.remove(0)),
             _ => Ok(None),
         }
+    }
+}
+
+impl Drop for Client {
+    /// Reads the acks still owed for pipelined decides, so every verdict
+    /// this connection carried has been applied before it closes. Bounded
+    /// by the op timeout like every other call.
+    fn drop(&mut self) {
+        let _ = self.settle();
     }
 }
 

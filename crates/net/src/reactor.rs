@@ -64,14 +64,12 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read as IoRead, Write as IoWrite};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Token reserved for the reactor's wake pipe.
 pub(crate) const WAKER_TOKEN: u64 = 0;
-/// Socket read granularity.
-const READ_CHUNK: usize = 64 * 1024;
 /// Ship-feed outbox bound: chunks staged per tick per subscriber. The next
 /// tick continues where this one stopped; backpressure, not truncation.
 const MAX_SHIP_CHUNKS_PER_TICK: usize = 8;
@@ -92,16 +90,20 @@ pub(crate) fn raw_fd(_stream: &TcpStream) -> i32 {
 }
 
 /// A reactor's cross-thread face: the acceptor routes accepted sockets here,
-/// and sibling reactors ring the doorbell after a WAL flush so parked ship
-/// feeds notice new durable bytes promptly.
+/// and sibling reactors ring the doorbell after a WAL flush when this one
+/// hosts a ship feed, so the feed notices new durable bytes promptly.
 pub(crate) struct ReactorHandle {
     injected: Mutex<Vec<TcpStream>>,
     doorbell: WakeHandle,
+    /// Ship feeds this reactor hosted at the end of its last tick. A feed
+    /// too new to be counted misses at most one wake, and its reactor's
+    /// [`PARKED_TICK`] cadence ships the bytes anyway.
+    feeds: AtomicUsize,
 }
 
 impl ReactorHandle {
     pub(crate) fn new(doorbell: WakeHandle) -> ReactorHandle {
-        ReactorHandle { injected: Mutex::new(Vec::new()), doorbell }
+        ReactorHandle { injected: Mutex::new(Vec::new()), doorbell, feeds: AtomicUsize::new(0) }
     }
 
     /// Routes an admitted socket to this reactor and wakes it.
@@ -151,11 +153,17 @@ impl FrameCursor {
     /// Appends newly received bytes. Consumed prefix is compacted here, so
     /// memory is bounded by the unconsumed suffix plus one read chunk.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.recv_buf().extend_from_slice(bytes);
+    }
+
+    /// The receive buffer with its consumed prefix compacted away; a socket
+    /// read appends straight into its spare capacity.
+    fn recv_buf(&mut self) -> &mut Vec<u8> {
         if self.pos > 0 {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        &mut self.buf
     }
 
     /// Pops the next complete request frame, `Ok(None)` when more bytes are
@@ -487,15 +495,15 @@ impl Reactor {
 
         // Phase B — the group-commit point: one durability wait covers every
         // batch that completed this tick, across all of this reactor's
-        // sessions. Accounted as commit-flush wait; sibling reactors are
-        // woken so ship feeds they host notice the new durable bytes.
+        // sessions. Accounted as commit-flush wait; sibling reactors that
+        // host a ship feed are woken so it notices the new durable bytes.
         if !tick_flush.is_empty() {
             {
                 let _wait = esdb_obs::wait_timer(esdb_obs::WaitClass::CommitFlush);
                 shared.db.wal().flush_batch(tick_flush.iter().copied());
             }
             for (i, peer) in self.peers.iter().enumerate() {
-                if i != self.id {
+                if i != self.id && peer.feeds.load(Ordering::Relaxed) > 0 {
                     peer.wake();
                 }
             }
@@ -552,10 +560,15 @@ impl Reactor {
         }
 
         // Phase D — write pass and interest maintenance, then the sweep.
+        let mut feeds = 0;
         for &t in &tokens {
             let conn = self.conns.get_mut(&t).expect("conn");
             flush_outbox(&self.poller, conn);
+            if !conn.closed && matches!(conn.phase, Phase::Shipping(_)) {
+                feeds += 1;
+            }
         }
+        self.handle.feeds.store(feeds, Ordering::Relaxed);
         let dead: Vec<u64> = self
             .conns
             .iter()
@@ -669,25 +682,21 @@ struct IngestOutcome {
     received: bool,
 }
 
-/// Reads the socket to `WouldBlock` (the level-triggered contract), feeding
-/// every byte into `cursor`.
+/// Reads the socket to `WouldBlock` (the level-triggered contract), every
+/// byte straight into `cursor`'s spare capacity: `read_to_end` appends
+/// through uninitialized space (retrying `Interrupted`), so no read pays a
+/// zero-filled staging chunk.
 fn ingest(stream: &mut TcpStream, cursor: &mut FrameCursor) -> IngestOutcome {
-    let mut chunk = [0u8; READ_CHUNK];
-    let mut received = false;
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return IngestOutcome { end: IngestEnd::Eof, received },
-            Ok(n) => {
-                cursor.feed(&chunk[..n]);
-                received = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                return IngestOutcome { end: IngestEnd::Open, received }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return IngestOutcome { end: IngestEnd::Error, received },
-        }
-    }
+    let buf = cursor.recv_buf();
+    let before = buf.len();
+    let read = stream.read_to_end(buf);
+    let received = buf.len() > before;
+    let end = match read {
+        Ok(_) => IngestEnd::Eof,
+        Err(e) if e.kind() == ErrorKind::WouldBlock => IngestEnd::Open,
+        Err(_) => IngestEnd::Error,
+    };
+    IngestOutcome { end, received }
 }
 
 /// Executes every complete frame the cursor holds, stopping at a park, a

@@ -330,3 +330,101 @@ fn single_reactor_commit_is_acked_by_a_feed_on_the_same_reactor() {
     feed.join().unwrap();
     server.shutdown();
 }
+
+/// A hand-driven peer for the pipelined-decide contract: it greets, then
+/// answers the n-th request frame it reads with `replies[n]` (`None` reads
+/// the frame and answers nothing). It holds the socket until the client
+/// closes it and returns every request it read.
+fn scripted_peer(
+    replies: Vec<Option<esdb_net::Response>>,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<esdb_net::Request>>) {
+    use esdb_net::protocol::{decode_request, encode_response};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut out = Vec::new();
+        encode_response(&esdb_net::Response::Hello, &mut out);
+        sock.write_all(&out).unwrap();
+        let (mut inbox, mut seen) = (Vec::new(), Vec::new());
+        let mut replies = replies.into_iter();
+        let mut chunk = [0u8; 512];
+        loop {
+            while let Some((req, used)) = decode_request(&inbox).unwrap() {
+                inbox.drain(..used);
+                seen.push(req);
+                if let Some(Some(reply)) = replies.next() {
+                    out.clear();
+                    encode_response(&reply, &mut out);
+                    sock.write_all(&out).unwrap();
+                }
+            }
+            match sock.read(&mut chunk) {
+                Ok(0) | Err(_) => return seen,
+                Ok(n) => inbox.extend_from_slice(&chunk[..n]),
+            }
+        }
+    });
+    (addr, peer)
+}
+
+/// A decide returns once its frame is written; the `Ok` ack it owes is read
+/// ahead of the next call's reply, which then matches its own request.
+#[test]
+fn pipelined_decide_ack_is_read_before_the_next_reply() {
+    use esdb_net::{Request, Response};
+    let (addr, peer) = scripted_peer(vec![Some(Response::Ok), Some(Response::Pong)]);
+    let mut client = Client::connect(addr).unwrap();
+    client.shard_decide(7, true).unwrap();
+    client.ping().expect("the owed Ok is consumed, then the Pong answers the ping");
+    drop(client);
+    assert_eq!(
+        peer.join().unwrap(),
+        vec![Request::ShardDecide { gtid: 7, commit: true }, Request::Ping]
+    );
+}
+
+/// A decide answered with an `Error` frame fails the next call with the
+/// typed refusal, never by handing that call a reply meant for another
+/// request; the connection then refuses every later call before sending.
+#[test]
+fn refused_decide_ack_fails_every_later_call_typed() {
+    use esdb_net::{Request, Response};
+    let (addr, peer) = scripted_peer(vec![
+        Some(Response::Error("no such participant".into())),
+        Some(Response::Pong),
+        Some(Response::Pong),
+    ]);
+    let mut client = Client::connect(addr).unwrap();
+    client.shard_decide(9, false).unwrap();
+    match client.ping() {
+        Err(NetError::DecideRefused(reply)) => assert!(reply.contains("no such participant")),
+        other => panic!("expected the typed decide refusal, got {other:?}"),
+    }
+    assert!(matches!(client.ping(), Err(NetError::DecideRefused(_))));
+    assert!(matches!(client.shard_decide(10, true), Err(NetError::DecideRefused(_))));
+    drop(client);
+    // Only the first ping left the client: later calls failed before writing.
+    assert_eq!(
+        peer.join().unwrap(),
+        vec![Request::ShardDecide { gtid: 9, commit: false }, Request::Ping]
+    );
+}
+
+/// Dropping a client waits for the ack its decide still owes, and a peer
+/// that never sends it cannot hang the drop: the wait is bounded by the
+/// armed op timeout like every other call.
+#[test]
+fn unacked_decide_drop_returns_within_the_op_timeout() {
+    let (addr, peer) = scripted_peer(vec![None]);
+    let mut client = Client::connect(addr).unwrap();
+    client.set_op_timeout(Some(Duration::from_millis(100))).unwrap();
+    client.shard_decide(11, true).unwrap();
+    let started = Instant::now();
+    drop(client);
+    let waited = started.elapsed();
+    assert!(waited >= Duration::from_millis(90), "drop must wait for the owed ack: {waited:?}");
+    assert!(waited < Duration::from_secs(1), "drop must not wait past the timeout: {waited:?}");
+    assert_eq!(peer.join().unwrap().len(), 1, "the decide frame was sent");
+}

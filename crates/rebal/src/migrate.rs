@@ -349,17 +349,26 @@ impl Migration {
 
     /// Fenced → CutOver: force the cutover record carrying the new routing
     /// epoch, then make it visible — install, release, adopt. Release
-    /// precedes adopt so no instant has two write-admitting owners; a
-    /// writer caught in the one-statement gap gets the typed refusal and
-    /// retries through the refreshed table.
+    /// precedes adopt so no instant has two write-admitting owners. The
+    /// destination fences the slot first, so a writer the release refuses
+    /// retries through the installed table and parks on the destination
+    /// until the adopt, rather than being refused a second time.
     fn do_cutover(&mut self) {
         let MigrationSpec { mid, slot, from, to } = self.spec;
         let next = self.env.routing.current().with_slot_moved(slot, to);
         self.log.record(mid, Phase::CutOver, slot, from, to, next.epoch);
         self.env.routing.install(next);
+        self.hand_over(slot);
+        self.phase = Phase::CutOver;
+    }
+
+    /// Moves write admission for `slot` from source to destination:
+    /// fence on the destination, release on the source, adopt (which
+    /// lifts the fence) on the destination.
+    fn hand_over(&self, slot: u32) {
+        self.env.dest.own.fence(slot);
         self.env.source.own.release(slot);
         self.env.dest.own.adopt(slot);
-        self.phase = Phase::CutOver;
     }
 
     /// Re-applies a durable cutover after a crash. Every piece is
@@ -370,8 +379,7 @@ impl Migration {
         if self.env.routing.epoch() < logged_epoch {
             self.env.routing.install(self.env.routing.current().with_slot_moved(slot, to));
         }
-        self.env.source.own.release(slot);
-        self.env.dest.own.adopt(slot);
+        self.hand_over(slot);
     }
 
     /// CutOver → Done: delete the source's copy of the slot (it no longer

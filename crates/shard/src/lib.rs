@@ -26,10 +26,15 @@
 //!   allocate gtid (durable watermark)
 //!   PREPARE(gtid, ops)  ─────────────▶  execute, force Prepare record,
 //!   ◀─────────────────────  vote        hold locks
-//!   all yes: force Decide(commit)
+//!   all yes: force Decide(commit)      (the commit point)
 //!   any no:  Decide(abort), no force
 //!   DECIDE(gtid, verdict) ───────────▶  commit or roll back, release
+//!   (ack read before the next call)
 //! ```
+//!
+//! Phase two is pipelined over the wire: nothing after the forced decision
+//! needs the participants' acks, so a cross-shard commit waits for the
+//! prepare round trips only (see [`ShardBackend::decide`]).
 //!
 //! A participant that crashes between Prepare and Decide recovers the
 //! transaction *in doubt*: redone, not undone, locks conceptually held. It

@@ -19,7 +19,13 @@ pub trait ShardBackend: Send {
     /// committed outcome is a yes-vote; the shard then holds its locks
     /// until [`ShardBackend::decide`].
     fn prepare(&mut self, gtid: u64, ops: Vec<WorkloadOp>) -> Result<SpecOutcome, ShardError>;
-    /// 2PC phase two: apply the coordinator's verdict.
+    /// 2PC phase two: deliver the coordinator's verdict, already durable
+    /// in the [`DecisionLog`]. A backend may return once the verdict is on
+    /// its way rather than applied: [`NetShard`] writes the frame and
+    /// reads its ack ahead of the next call on the same connection, so the
+    /// shard applies the verdict before serving anything later this router
+    /// sends it. An `Ok` therefore promises ordering, not that the shard's
+    /// prepared registry is already empty.
     fn decide(&mut self, gtid: u64, commit: bool) -> Result<(), ShardError>;
 }
 

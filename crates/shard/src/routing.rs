@@ -139,27 +139,29 @@ impl ShardOwnership {
         self.state.lock().unwrap().fenced.get(slot as usize).copied().unwrap_or(false)
     }
 
-    /// Admits a transaction touching `slots`: errors with the offending
-    /// slot when one is not owned, waits while any is fenced, then counts
-    /// every slot in-flight. The caller must pair this with
+    /// Admits a transaction touching `slots`: waits while any is fenced
+    /// (owned and migrating out, or about to be adopted), errors with the
+    /// offending slot when one is not owned, then counts every slot
+    /// in-flight. The caller must pair this with
     /// [`ShardOwnership::end`] (or park the count under a gtid with
     /// [`ShardOwnership::note_prepared`]).
     pub fn begin(&self, slots: &[u32]) -> Result<(), u32> {
         let mut st = self.state.lock().unwrap();
         loop {
+            if slots.iter().any(|&s| st.fenced.get(s as usize).copied().unwrap_or(false)) {
+                // The fence window is brief (the final delta ship on a
+                // source, one statement on a destination), so waiting beats
+                // bouncing the caller. A release clears the fence and the
+                // owned check below turns the wake-up into a typed refusal;
+                // an adopt clears it and admits.
+                st = self.wake.wait(st).unwrap();
+                continue;
+            }
             if let Some(&s) = slots
                 .iter()
                 .find(|&&s| !st.owned.get(s as usize).copied().unwrap_or(false))
             {
                 return Err(s);
-            }
-            if slots.iter().any(|&s| st.fenced[s as usize]) {
-                // Fenced but still owned: the fence window is brief (final
-                // delta ship), so waiting beats bouncing the caller. If the
-                // slot is released while we wait, the owned check above
-                // turns the wake-up into a typed refusal.
-                st = self.wake.wait(st).unwrap();
-                continue;
             }
             for &s in slots {
                 st.inflight[s as usize] += 1;
